@@ -274,28 +274,176 @@ fn run_restart(
 /// One fixed-point step for all rows of `w` at once:
 /// `w⁺ = E[z·g(wᵀz)] − E[g′(wᵀz)]·w`.
 fn fixed_point_step(z: &Matrix, w: &Matrix, contrast: Contrast) -> Matrix {
+    let mut out = Matrix::zeros(w.rows(), w.cols());
+    fixed_point_into(kernel(), z, w.as_slice(), contrast, out.as_mut_slice());
+    out
+}
+
+/// Components per register tile of the projection kernel (two avx2
+/// vectors); `w` is zero-padded to a multiple of this.
+const TILE_COLS: usize = 8;
+/// Rows per block: the projection tile, the `g′` sums and the axpys all
+/// work on this many rows at once.
+const TILE_ROWS: usize = 4;
+
+/// [`fixed_point_step`] on row-major slices, accumulating with `kernel`:
+/// `w` and `out` are `k × r` with `r = z.cols()`. One pass over the rows
+/// of `z` updates all `k` components, and every output element keeps the
+/// summation order of the per-component loop: each projection is summed
+/// over `j` from `-0.0` as [`vector::dot`] does, and each accumulator over
+/// rows in row order. The result is therefore bit-identical to running
+/// the components one by one.
+fn fixed_point_into(kernel: Kernel, z: &Matrix, w: &[f64], contrast: Contrast, out: &mut [f64]) {
     let (n, r) = z.shape();
-    let k = w.rows();
-    let mut out = Matrix::zeros(k, r);
-    let inv_n = 1.0 / n as f64;
+    let k = w.len() / r;
+    debug_assert_eq!(w.len(), k * r);
+    debug_assert_eq!(out.len(), k * r);
+    // `wt` is `w` transposed and zero-padded to `r × kp`, so the
+    // projections of a row advance together, contiguous across components.
+    let kp = k.next_multiple_of(TILE_COLS);
+    let mut wt = vec![0.0; r * kp];
     for c in 0..k {
-        let wv = w.row(c);
-        let mut ezg = vec![0.0; r];
-        let mut eg_prime = 0.0;
-        for i in 0..n {
-            let zi = z.row(i);
-            let u = vector::dot(zi, wv);
-            vector::axpy(contrast.g(u), zi, &mut ezg);
-            eg_prime += contrast.g_prime(u);
-        }
-        vector::scale(&mut ezg, inv_n);
-        eg_prime *= inv_n;
-        let out_row = out.row_mut(c);
         for j in 0..r {
-            out_row[j] = ezg[j] - eg_prime * wv[j];
+            wt[j * kp + c] = w[c * r + j];
         }
     }
-    out
+    let mut eg_prime = vec![0.0; k];
+    out.fill(0.0);
+    kernel(z.as_slice(), &wt, contrast, out, &mut eg_prime);
+    let inv_n = 1.0 / n as f64;
+    for c in 0..k {
+        let egp = eg_prime[c] * inv_n;
+        let acc = &mut out[c * r..(c + 1) * r];
+        for (a, &wcj) in acc.iter_mut().zip(&w[c * r..(c + 1) * r]) {
+            *a = *a * inv_n - egp * wcj;
+        }
+    }
+}
+
+/// Signature shared by the compiled variants of [`accumulate_body`].
+type Kernel = fn(&[f64], &[f64], Contrast, &mut [f64], &mut [f64]);
+
+/// The accumulation kernel for this CPU, chosen on first use.
+fn kernel() -> Kernel {
+    static KERNEL: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return accumulate_avx2_detected;
+        }
+        accumulate_body
+    })
+}
+
+/// [`accumulate_body`] compiled for avx2: wider vectors for the projection
+/// and axpy loops, and still no FMA, so every product is rounded before
+/// its add. Calling it on a CPU without avx2 is undefined behaviour, so
+/// its one caller is [`accumulate_avx2_detected`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_avx2(
+    z: &[f64],
+    wt: &[f64],
+    contrast: Contrast,
+    ezg: &mut [f64],
+    eg_prime: &mut [f64],
+) {
+    accumulate_body(z, wt, contrast, ezg, eg_prime);
+}
+
+/// Only reachable through [`kernel`], which hands it out after detecting
+/// avx2.
+#[cfg(target_arch = "x86_64")]
+fn accumulate_avx2_detected(
+    z: &[f64],
+    wt: &[f64],
+    contrast: Contrast,
+    ezg: &mut [f64],
+    eg_prime: &mut [f64],
+) {
+    // SAFETY: `kernel` selects this function only when the CPU has avx2.
+    unsafe { accumulate_avx2(z, wt, contrast, ezg, eg_prime) }
+}
+
+/// One pass over the rows of `z` (`n × r`, row-major), [`TILE_ROWS`] rows
+/// at a time, then the leftover rows one by one. `wt` is `w` transposed
+/// and padded (`r × kp`); `ezg` is the `k × r` accumulator of `g(u_c)·z_i`
+/// and `eg_prime` the `k` sums of `g′(u_c)`. Called through a pointer it
+/// is the portable variant; inlined into [`accumulate_avx2`] it is the
+/// avx2 one.
+#[inline(always)]
+fn accumulate_body(
+    z: &[f64],
+    wt: &[f64],
+    contrast: Contrast,
+    ezg: &mut [f64],
+    eg_prime: &mut [f64],
+) {
+    let k = eg_prime.len();
+    let r = ezg.len() / k;
+    let mut u = vec![0.0; TILE_ROWS * wt.len() / r];
+    let mut blocks = z.chunks_exact(TILE_ROWS * r);
+    for block in &mut blocks {
+        accumulate_rows::<TILE_ROWS>(block, wt, contrast, &mut u, ezg, eg_prime);
+    }
+    for row in blocks.remainder().chunks_exact(r) {
+        accumulate_rows::<1>(row, wt, contrast, &mut u, ezg, eg_prime);
+    }
+}
+
+/// The fixed-point sums over `RB` consecutive rows:
+/// 1. `u_bc = Σ_j z_bj·w_cj` for every row `b` and component `c`, summed
+///    over `j` in order from `-0.0`, in `RB × TILE_COLS` register tiles;
+/// 2. one `g`/`g′` evaluation per (row, component), `g′` added to
+///    `eg_prime_c` in row order;
+/// 3. `ezg_cj += g_bc·z_bj` for `b` in row order, each accumulator
+///    element loaded and stored once per block.
+#[inline(always)]
+fn accumulate_rows<const RB: usize>(
+    rows: &[f64],
+    wt: &[f64],
+    contrast: Contrast,
+    u: &mut [f64],
+    ezg: &mut [f64],
+    eg_prime: &mut [f64],
+) {
+    let k = eg_prime.len();
+    let r = rows.len() / RB;
+    let kp = wt.len() / r;
+    let z: [&[f64]; RB] = std::array::from_fn(|b| &rows[b * r..(b + 1) * r]);
+    for c0 in (0..kp).step_by(TILE_COLS) {
+        let mut tile = [[-0.0_f64; TILE_COLS]; RB];
+        for j in 0..r {
+            let w = &wt[j * kp + c0..][..TILE_COLS];
+            for b in 0..RB {
+                let zbj = z[b][j];
+                for l in 0..TILE_COLS {
+                    tile[b][l] += zbj * w[l];
+                }
+            }
+        }
+        for b in 0..RB {
+            u[b * kp + c0..][..TILE_COLS].copy_from_slice(&tile[b]);
+        }
+    }
+    // Each projection is overwritten by its `g`.
+    for b in 0..RB {
+        for c in 0..k {
+            let (g, gp) = contrast.g_and_g_prime(u[b * kp + c]);
+            u[b * kp + c] = g;
+            eg_prime[c] += gp;
+        }
+    }
+    for (c, acc) in ezg.chunks_exact_mut(r).enumerate() {
+        let g: [f64; RB] = std::array::from_fn(|b| u[b * kp + c]);
+        for (j, a) in acc.iter_mut().enumerate() {
+            let mut sum = *a;
+            for b in 0..RB {
+                sum += g[b] * z[b][j];
+            }
+            *a = sum;
+        }
+    }
 }
 
 /// Symmetric decorrelation `W ← (WWᵀ)^{-1/2} W`.
@@ -355,9 +503,8 @@ fn deflation_iteration(
         let mut converged = false;
         for iter in 1..=opts.max_iter {
             total_iters = total_iters.max(iter);
-            let w_mat = Matrix::from_rows(std::slice::from_ref(&w));
-            let stepped = fixed_point_step(z, &w_mat, opts.contrast);
-            let mut w_new = stepped.row(0).to_vec();
+            let mut w_new = vec![0.0; r];
+            fixed_point_into(kernel(), z, &w, opts.contrast, &mut w_new);
             vector::orthogonalize_against(&mut w_new, &rows);
             if vector::normalize(&mut w_new) == 0.0 {
                 break; // direction vanished under deflation
@@ -658,6 +805,140 @@ mod tests {
         let res = fastica(&data, &lenient, &mut Rng::seed_from_u64(61)).unwrap();
         assert!(!res.converged);
         assert_eq!(res.directions.rows(), 2);
+    }
+
+    /// The per-component fixed-point step the single-pass kernel replaced:
+    /// `k` passes over `z`, two nonlinearity calls per row. Kept as the
+    /// bit-exact reference for [`fixed_point_into`].
+    fn fixed_point_step_oracle(z: &Matrix, w: &Matrix, contrast: Contrast) -> Matrix {
+        let (n, r) = z.shape();
+        let k = w.rows();
+        let mut out = Matrix::zeros(k, r);
+        let inv_n = 1.0 / n as f64;
+        for c in 0..k {
+            let wv = w.row(c);
+            let mut ezg = vec![0.0; r];
+            let mut eg_prime = 0.0;
+            for i in 0..n {
+                let zi = z.row(i);
+                let u = vector::dot(zi, wv);
+                vector::axpy(contrast.g(u), zi, &mut ezg);
+                eg_prime += contrast.g_prime(u);
+            }
+            vector::scale(&mut ezg, inv_n);
+            eg_prime *= inv_n;
+            let out_row = out.row_mut(c);
+            for j in 0..r {
+                out_row[j] = ezg[j] - eg_prime * wv[j];
+            }
+        }
+        out
+    }
+
+    /// Every compiled variant of the accumulation kernel this CPU can run.
+    fn kernel_variants() -> Vec<(&'static str, Kernel)> {
+        let mut variants: Vec<(&'static str, Kernel)> = vec![("portable", accumulate_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            variants.push(("avx2", accumulate_avx2_detected));
+        }
+        variants
+    }
+
+    #[test]
+    fn single_pass_kernel_matches_per_component_oracle_bitwise() {
+        let contrasts = [Contrast::default(), Contrast::Exp, Contrast::Kurtosis];
+        let variants = kernel_variants();
+        let mut rng = Rng::seed_from_u64(0xF1CA);
+        for n in [1usize, 7, 513] {
+            for r in [1usize, 2, 3, 32, 65] {
+                // Gaussian rows plus an all-zero row (signed-zero sums) and
+                // a large row (saturated tanh, huge cubes).
+                let mut z = rng.standard_normal_matrix(n, r);
+                if n > 2 {
+                    z.row_mut(1).fill(0.0);
+                    vector::scale(z.row_mut(2), 1e3);
+                }
+                for k in 1..=r {
+                    let mut w = rng.standard_normal_matrix(k, r);
+                    if k > 1 {
+                        vector::scale(w.row_mut(k - 1), -0.0);
+                    }
+                    for contrast in contrasts {
+                        let want = fixed_point_step_oracle(&z, &w, contrast);
+                        for &(name, kernel) in &variants {
+                            let mut got = vec![f64::NAN; k * r];
+                            fixed_point_into(kernel, &z, w.as_slice(), contrast, &mut got);
+                            let same = got
+                                .iter()
+                                .zip(want.as_slice())
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(same, "{name} n={n} r={r} k={k} {contrast:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the `to_bits` of a run's directions, scores and
+    /// sources, in that order.
+    fn digest(res: &IcaResult) -> u64 {
+        let bits = res
+            .directions
+            .as_slice()
+            .iter()
+            .chain(&res.scores)
+            .chain(res.sources.as_slice())
+            .map(|v| v.to_bits());
+        bits.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            b.to_le_bytes().iter().fold(h, |h, &byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+            })
+        })
+    }
+
+    /// 257 rows of four mixed non-Gaussian sources (uniform, Laplace-ish,
+    /// bimodal, Gaussian).
+    fn golden_data() -> Matrix {
+        let mut rng = Rng::seed_from_u64(0x601D);
+        Matrix::from_fn(257, 4, |_, j| match j {
+            0 => rng.uniform() - 0.5,
+            1 => {
+                let sign = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
+                sign * -(1.0 - rng.uniform()).ln()
+            }
+            2 => {
+                let centre = if rng.bernoulli(0.5) { -1.0 } else { 1.0 };
+                rng.normal(centre, 0.3)
+            }
+            _ => rng.standard_normal(),
+        })
+        .matmul(&Matrix::from_fn(4, 4, |i, j| {
+            1.0 / (1.0 + i as f64 + 2.0 * j as f64)
+        }))
+    }
+
+    #[test]
+    fn golden_digests_pin_fastica_output_bits() {
+        // Digests recorded with the per-component kernel
+        // (`fixed_point_step_oracle`) in production; a change to any
+        // summation order in the pipeline moves them.
+        let data = golden_data();
+        let sym = fastica(&data, &IcaOpts::default(), &mut Rng::seed_from_u64(1)).unwrap();
+        let defl_opts = IcaOpts {
+            symmetric: false,
+            ..IcaOpts::default()
+        };
+        let defl = fastica(&data, &defl_opts, &mut Rng::seed_from_u64(2)).unwrap();
+        assert_eq!(
+            (digest(&sym), sym.iterations, sym.converged),
+            (11559869570135363093, 8, true)
+        );
+        assert_eq!(
+            (digest(&defl), defl.iterations, defl.converged),
+            (12817035095056346735, 7, true)
+        );
     }
 
     #[test]

@@ -74,6 +74,25 @@ impl Contrast {
         }
     }
 
+    /// `(g(u), g′(u))` from one evaluation of the shared transcendental
+    /// (`tanh` for log-cosh, `exp` for `Exp`). Bit-equal to calling
+    /// [`Contrast::g`] and [`Contrast::g_prime`] separately: each half is
+    /// the same expression over the same intermediate.
+    #[inline]
+    pub fn g_and_g_prime(&self, u: f64) -> (f64, f64) {
+        match *self {
+            Contrast::LogCosh { alpha } => {
+                let t = (alpha * u).tanh();
+                (t, alpha * (1.0 - t * t))
+            }
+            Contrast::Exp => {
+                let e = (-0.5 * u * u).exp();
+                (u * e, (1.0 - u * u) * e)
+            }
+            Contrast::Kurtosis => (u * u * u, 3.0 * u * u),
+        }
+    }
+
     /// `E[G(ν)]` for `ν ~ N(0, 1)`.
     ///
     /// Exact closed forms exist for `Exp` (−1/√2) and `Kurtosis` (3/4);
@@ -217,6 +236,48 @@ mod tests {
                 assert!(
                     (dgp - contrast.g_prime(u)).abs() < 1e-5,
                     "{contrast:?} u={u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn g_and_g_prime_is_bit_equal_to_separate_calls() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1e-8,
+            0.5,
+            -2.75,
+            20.0,
+            40.0,
+        ];
+        let mut rng = Rng::seed_from_u64(5);
+        inputs.extend((0..1000).map(|_| 4.0 * rng.standard_normal()));
+        let contrasts = [
+            Contrast::default(),
+            Contrast::LogCosh { alpha: 1.7 },
+            Contrast::Exp,
+            Contrast::Kurtosis,
+        ];
+        for contrast in contrasts {
+            for &u in &inputs {
+                let (g, gp) = contrast.g_and_g_prime(u);
+                assert_eq!(g.to_bits(), contrast.g(u).to_bits(), "{contrast:?} g({u})");
+                assert_eq!(
+                    gp.to_bits(),
+                    contrast.g_prime(u).to_bits(),
+                    "{contrast:?} g'({u})"
                 );
             }
         }
