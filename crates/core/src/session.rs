@@ -345,6 +345,21 @@ impl EdaSession {
         Ok(self.background().whiten_with(self.data(), &self.pool)?)
     }
 
+    /// Fail with [`MaxEntError::NonFiniteFit`] when the last update
+    /// diverged (its report is [`non_finite`]) or the background has
+    /// non-finite parameters: views and suggestions need a background
+    /// they can meaningfully whiten against and sample from.
+    ///
+    /// [`MaxEntError::NonFiniteFit`]: sider_maxent::MaxEntError::NonFiniteFit
+    /// [`non_finite`]: ConvergenceReport::non_finite
+    pub fn ensure_finite_background(&self) -> Result<()> {
+        let diverged = self.last_report.as_ref().is_some_and(|r| r.non_finite());
+        if diverged || !self.background().is_finite() {
+            return Err(sider_maxent::MaxEntError::NonFiniteFit.into());
+        }
+        Ok(())
+    }
+
     /// How much the accumulated feedback has constrained the model, in
     /// nats: the relative entropy of the background distribution from the
     /// spherical prior (`−S` of the paper's Problem 1). Zero for a fresh
@@ -392,6 +407,7 @@ impl EdaSession {
     /// Bit-identical to the two-pass whiten-then-pursue formulation (which
     /// the ICA arm still uses — FastICA iterates over the whitened rows).
     pub fn next_view(&mut self, method: &Method) -> Result<ViewState> {
+        self.ensure_finite_background()?;
         let projection = match method {
             Method::Pca => {
                 let moment = self

@@ -296,13 +296,22 @@ pub fn fit_opts_from_json(v: &Json) -> Result<FitOpts> {
 // Reports and stats
 // ---------------------------------------------------------------------------
 
+/// A sweep's diagnostics. A non-finite maximum (a diverged sweep) is left
+/// out rather than written as `null`; the report's `non_finite` flag says
+/// why it is missing.
 fn sweep_info_to_json(s: &SweepInfo) -> Json {
-    Json::obj([
-        ("sweep", Json::from(s.sweep)),
-        ("max_lambda_change", Json::from(s.max_lambda_change)),
-        ("max_moment_change", Json::from(s.max_moment_change)),
-        ("max_residual", Json::from(s.max_residual)),
-    ])
+    let maxima = [
+        ("max_lambda_change", s.max_lambda_change),
+        ("max_moment_change", s.max_moment_change),
+        ("max_residual", s.max_residual),
+    ];
+    Json::obj(
+        maxima
+            .into_iter()
+            .filter(|(_, x)| x.is_finite())
+            .map(|(key, x)| (key, Json::from(x)))
+            .chain([("sweep", Json::from(s.sweep))]),
+    )
 }
 
 /// Serialize a [`ConvergenceReport`].
@@ -316,6 +325,9 @@ pub fn report_to_json(r: &ConvergenceReport) -> Json {
         ("converged", Json::from(r.converged)),
         ("hit_time_cutoff", Json::from(r.hit_time_cutoff)),
     ];
+    if r.non_finite() {
+        obj.push(("non_finite", Json::from(true)));
+    }
     if let Some(last) = &r.last {
         obj.push(("last", sweep_info_to_json(last)));
     }

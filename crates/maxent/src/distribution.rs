@@ -392,6 +392,21 @@ impl BackgroundDistribution {
         self.class_of_row[row] as usize
     }
 
+    /// Whether every class's mean and spectral transforms (what
+    /// whitening, sampling and the KL accounting read) are finite, and so
+    /// is the relative entropy from the prior. False after a diverged fit:
+    /// its parameters are NaN, or finite but so large that the entropy
+    /// overflows.
+    pub fn is_finite(&self) -> bool {
+        self.classes.iter().all(|c| {
+            c.m.iter().all(|x| x.is_finite())
+                && c.whiten.is_finite()
+                && c.u.is_finite()
+                && c.sample_scale.iter().all(|x| x.is_finite())
+                && c.prec_evals.iter().all(|x| x.is_finite())
+        }) && self.total_kl_from_prior().is_finite()
+    }
+
     /// Mean of row `i`'s Gaussian.
     pub fn mean(&self, row: usize) -> &[f64] {
         &self.classes[self.class_of_row(row)].m

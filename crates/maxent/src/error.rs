@@ -21,6 +21,10 @@ pub enum MaxEntError {
     Linalg(LinalgError),
     /// The dataset contains NaN or infinite values.
     NotFinite,
+    /// The fitted background has NaN or infinite parameters: the last
+    /// fit diverged (its report has `non_finite` set), so nothing can be
+    /// whitened against or sampled from it.
+    NonFiniteFit,
 }
 
 impl fmt::Display for MaxEntError {
@@ -40,6 +44,11 @@ impl fmt::Display for MaxEntError {
             MaxEntError::EmptyData => write!(f, "dataset has no rows or no columns"),
             MaxEntError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             MaxEntError::NotFinite => write!(f, "dataset contains NaN or infinite values"),
+            MaxEntError::NonFiniteFit => write!(
+                f,
+                "the last fit diverged to non-finite parameters; \
+                 undo the last knowledge and update again"
+            ),
         }
     }
 }

@@ -87,6 +87,27 @@ pub struct SweepInfo {
     pub max_residual: f64,
 }
 
+impl SweepInfo {
+    /// Whether all three maxima are finite. A NaN or infinite λ step,
+    /// moment or residual means the fit diverged.
+    pub fn is_finite(&self) -> bool {
+        self.max_lambda_change.is_finite()
+            && self.max_moment_change.is_finite()
+            && self.max_residual.is_finite()
+    }
+}
+
+/// `f64::max` that lets a NaN operand win. `f64::max` drops NaN, so a
+/// sweep whose λ or moments went NaN would read as a zero change and
+/// pass the convergence test. Equal to `f64::max` when neither is NaN.
+fn nan_max(acc: f64, x: f64) -> f64 {
+    if acc.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        acc.max(x)
+    }
+}
+
 /// Outcome of [`Solver::fit`].
 #[derive(Debug, Clone)]
 pub struct ConvergenceReport {
@@ -109,6 +130,13 @@ impl ConvergenceReport {
     /// metric: a warm-started refit must do measurably fewer).
     pub fn sweeps_done(&self) -> usize {
         self.sweeps
+    }
+
+    /// Whether the fit stopped because a sweep went non-finite (NaN or
+    /// infinite λ step, moment change or residual). Such a fit is never
+    /// `converged`, and its background cannot be whitened or sampled.
+    pub fn non_finite(&self) -> bool {
+        self.last.is_some_and(|last| !last.is_finite())
     }
 }
 
@@ -410,8 +438,11 @@ impl Solver {
                 ConstraintKind::Linear => self.update_linear(t),
                 ConstraintKind::Quadratic => self.update_quadratic(t, lambda_max),
             };
+            max_dl = nan_max(max_dl, dl.abs());
+            if dl.is_nan() {
+                continue; // diverged step, nothing applied (see update_quadratic)
+            }
             self.lambdas[t] += dl;
-            max_dl = max_dl.max(dl.abs());
             if dl != 0.0 {
                 self.mark_touched(t);
             }
@@ -424,11 +455,11 @@ impl Solver {
                 continue;
             }
             let m = self.moment(t);
-            max_dm = max_dm.max((m - self.prev_moments[t]).abs());
+            max_dm = nan_max(max_dm, (m - self.prev_moments[t]).abs());
             self.prev_moments[t] = m;
             let res = (self.expectation(t) - self.constraints[t].target).abs()
                 / self.constraints[t].rows.len() as f64;
-            max_res = max_res.max(res);
+            max_res = nan_max(max_res, res);
         }
         SweepInfo {
             sweep: self.sweeps_done,
@@ -519,6 +550,17 @@ impl Solver {
         if lambda == 0.0 {
             return 0.0;
         }
+        // The solve sees `c` clamped at 0, but round-off can leave a
+        // class's `Σ` with `wᵀΣw < 0`. A step with `1 + λc ≤ 0` would make
+        // `Σ` indefinite and the fit diverge, so it is reported as a NaN
+        // change (which ends the fit) and nothing is applied.
+        let indefinite = |r: &woodbury::Rank1| {
+            let denom = 1.0 + lambda * r.c;
+            denom <= 0.0 || denom.is_nan()
+        };
+        if rank1s.iter().any(|(_, r)| indefinite(r)) {
+            return f64::NAN;
+        }
         for (class, r) in rank1s {
             let p = &mut self.params[class as usize];
             woodbury::apply(&mut p.sigma, &r, lambda);
@@ -562,9 +604,12 @@ impl Solver {
             if opts.trace {
                 trace.push(info);
             }
+            last = Some(info);
+            if !info.is_finite() {
+                break; // diverged: further sweeps only spread the NaN
+            }
             let lambda_ok = info.max_lambda_change <= opts.lambda_tol;
             let moment_ok = info.max_moment_change <= opts.moment_tol * self.sd_full;
-            last = Some(info);
             if lambda_ok || moment_ok {
                 converged = true;
                 break;
@@ -865,6 +910,25 @@ mod tests {
                 s.constraints()[t].label
             );
         }
+    }
+
+    #[test]
+    fn nan_max_lets_nan_win_and_equals_max_otherwise() {
+        assert!(nan_max(0.0, f64::NAN).is_nan());
+        assert!(nan_max(f64::NAN, 3.0).is_nan());
+        assert!(nan_max(nan_max(0.0, f64::NAN), 5.0).is_nan(), "NaN sticks");
+        for (a, b) in [(0.0, 1.5), (2.0, 1.0), (0.0, f64::INFINITY), (1e-300, 0.0)] {
+            assert_eq!(nan_max(a, b).to_bits(), a.max(b).to_bits());
+        }
+        let info = |x: f64| SweepInfo {
+            sweep: 1,
+            max_lambda_change: 0.0,
+            max_moment_change: x,
+            max_residual: 0.0,
+        };
+        assert!(info(1.0).is_finite());
+        assert!(!info(f64::NAN).is_finite());
+        assert!(!info(f64::INFINITY).is_finite());
     }
 
     #[test]

@@ -37,6 +37,7 @@ use crate::manager::{CreateError, SessionManager, Slot};
 use sider_core::wire;
 use sider_core::{CoreError, EdaSession};
 use sider_json::Json;
+use sider_maxent::MaxEntError;
 use sider_store::ops::{self, Applied, OpError, OpKind};
 
 /// An API-level failure: status code + message for the JSON error body.
@@ -48,6 +49,9 @@ impl From<CoreError> for ApiError {
     fn from(e: CoreError) -> Self {
         let status = match &e {
             CoreError::BadSelection(_) | CoreError::BadDataset(_) | CoreError::BadWire(_) => 400,
+            // A diverged fit is the session's state, not a server fault:
+            // the client undoes knowledge and updates again.
+            CoreError::MaxEnt(MaxEntError::NonFiniteFit) => 409,
             CoreError::MaxEnt(_) | CoreError::Projection(_) => 500,
         };
         ApiError(status, e.to_string())
@@ -290,7 +294,6 @@ fn health(manager: &SessionManager) -> ApiResult {
             // Serving-edge telemetry. Run-dependent (connection counts
             // move with traffic), which is fine: /health is the one
             // endpoint excluded from byte-determinism transcripts.
-            ("accept_loop", Json::from(manager.accept_loop())),
             ("open_connections", Json::from(manager.open_connections())),
             ("role", Json::from(manager.role().as_str())),
             ("replication", replication_health(manager)),
@@ -483,17 +486,29 @@ fn checkpoint_session(manager: &SessionManager, id: &str) -> ApiResult {
 }
 
 fn session_summary(session: &EdaSession, slot: &Slot) -> Json {
-    Json::obj([
-        ("id", Json::from(slot.id_str())),
-        ("dataset", Json::from(session.dataset().name.as_str())),
-        ("n", Json::from(session.dataset().n())),
-        ("d", Json::from(session.dataset().d())),
-        ("n_constraints", Json::from(session.n_constraints())),
-        ("n_knowledge", Json::from(session.knowledge().len())),
-        ("dirty", Json::from(session.is_dirty())),
-        ("warm", Json::from(session.has_warm_solver())),
-        ("information_nats", Json::from(session.information_nats())),
-    ])
+    Json::obj(
+        [
+            ("id", Json::from(slot.id_str())),
+            ("dataset", Json::from(session.dataset().name.as_str())),
+            ("n", Json::from(session.dataset().n())),
+            ("d", Json::from(session.dataset().d())),
+            ("n_constraints", Json::from(session.n_constraints())),
+            ("n_knowledge", Json::from(session.knowledge().len())),
+            ("dirty", Json::from(session.is_dirty())),
+            ("warm", Json::from(session.has_warm_solver())),
+        ]
+        .into_iter()
+        .chain(information_field(session)),
+    )
+}
+
+/// The `information_nats` member, absent after a diverged fit (its
+/// report says `non_finite`): the number would be meaningless or not a
+/// number at all, and no body carries `null` where a number belongs.
+fn information_field(session: &EdaSession) -> Option<(&'static str, Json)> {
+    let diverged = session.last_report().is_some_and(|r| r.non_finite());
+    let nats = session.information_nats();
+    (!diverged && nats.is_finite()).then(|| ("information_nats", Json::from(nats)))
 }
 
 fn list_sessions(manager: &SessionManager) -> ApiResult {
@@ -503,7 +518,7 @@ fn list_sessions(manager: &SessionManager) -> ApiResult {
         .map(|slot| {
             // Non-blocking: a session held by a long-running request (a
             // cold refit can take minutes) is reported as a `busy` stub
-            // instead of stalling the whole listing — and the gate slot
+            // instead of stalling the whole listing — and the worker
             // serving it — behind that session's mutex.
             Ok(match slot.try_lock()? {
                 Some(session) => session_summary(&session, &slot),
@@ -632,6 +647,80 @@ mod tests {
 
     fn json(resp: &Response) -> Json {
         Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap()
+    }
+
+    /// The degenerate sequence: margins plus a 25-row cluster in d = 100
+    /// on `bnc` makes the fit diverge until a sweep goes non-finite. The
+    /// update must say so (never `converged`), every body must stay free
+    /// of `null`, and views and suggestions must answer a typed 409
+    /// instead of a 500.
+    #[test]
+    fn diverged_fit_is_reported_and_reads_answer_409() {
+        let m = manager();
+        let call = |method: &str, path: &str, body: &str| {
+            let resp = handle(&m, &request(method, path, body));
+            let text = String::from_utf8(resp.body.clone()).unwrap();
+            assert!(
+                !text.contains("null") && !text.contains("NaN"),
+                "{method} {path}: non-number in body: {text}"
+            );
+            resp
+        };
+        let rows: Vec<String> = (300..=324).map(|r| r.to_string()).collect();
+        let cluster = format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows.join(","));
+        assert_eq!(
+            call("POST", "/api/sessions", r#"{"dataset":"bnc"}"#).status,
+            201
+        );
+        let margin = r#"{"kind":"margin"}"#;
+        assert_eq!(
+            call("POST", "/api/sessions/s1/knowledge", margin).status,
+            200
+        );
+        assert_eq!(
+            call("POST", "/api/sessions/s1/knowledge", &cluster).status,
+            200
+        );
+
+        let update = json(&call("POST", "/api/sessions/s1/update", "{}"));
+        assert_eq!(
+            update.path("report.converged").unwrap().as_bool(),
+            Some(false)
+        );
+        assert_eq!(
+            update.path("report.non_finite").unwrap().as_bool(),
+            Some(true)
+        );
+        assert!(update.get("information_nats").is_none());
+
+        let detail = json(&call("GET", "/api/sessions/s1", ""));
+        assert_eq!(
+            detail.path("last_report.non_finite").unwrap().as_bool(),
+            Some(true)
+        );
+        for (path, body) in [
+            ("/api/sessions/s1/view", "{}"),
+            ("/api/sessions/s1/view", r#"{"method":"ica"}"#),
+            ("/api/sessions/s1/view.svg", "{}"),
+            ("/api/sessions/s1/suggest", "{}"),
+        ] {
+            let resp = call("POST", path, body);
+            assert_eq!(resp.status, 409, "{path} {body}");
+            assert!(json(&resp)
+                .require_str("error")
+                .unwrap()
+                .contains("diverged"));
+        }
+
+        // Dropping the offending knowledge and refitting recovers.
+        assert_eq!(call("POST", "/api/sessions/s1/undo", "{}").status, 200);
+        let update = json(&call("POST", "/api/sessions/s1/update", "{}"));
+        assert_eq!(
+            update.path("report.converged").unwrap().as_bool(),
+            Some(true)
+        );
+        assert!(update.require_num("information_nats").unwrap().is_finite());
+        assert_eq!(call("POST", "/api/sessions/s1/view", "{}").status, 200);
     }
 
     #[test]
@@ -1070,17 +1159,18 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_accept_loop_and_open_connections() {
+    fn health_reports_open_connections() {
         let m = manager();
         let body = json(&handle(&m, &request("GET", "/health", "")));
-        assert_eq!(body.require_str("accept_loop").unwrap(), "threads");
+        assert!(
+            body.get("accept_loop").is_none(),
+            "one serving edge, no mode"
+        );
         assert_eq!(body.require_num("open_connections").unwrap(), 0.0);
 
-        m.set_accept_loop("events");
         m.conn_opened();
         m.conn_opened();
         let body = json(&handle(&m, &request("GET", "/health", "")));
-        assert_eq!(body.require_str("accept_loop").unwrap(), "events");
         assert_eq!(body.require_num("open_connections").unwrap(), 2.0);
         m.conn_closed();
         let body = json(&handle(&m, &request("GET", "/health", "")));

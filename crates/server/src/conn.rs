@@ -7,9 +7,8 @@
 //! worker; no I/O interest), **Writing** (draining pre-serialized
 //! response bytes across partial writes). The state machine is generic
 //! over `Read + Write` so fault-injection tests drive it with scripted
-//! in-memory streams instead of sockets, and the protocol stays exactly
-//! the threaded loop's: one request, one `Connection: close` response —
-//! which is why transcripts remain byte-identical across accept loops.
+//! in-memory streams instead of sockets. The protocol is one request, one
+//! `Connection: close` response.
 //!
 //! Deadlines live in a [`TimerWheel`] keyed by `(token, generation)`:
 //! every phase transition bumps the connection's generation, so a timer
@@ -18,7 +17,9 @@
 //! abstract tick numbers (no clock reads), so deadline tests inject any
 //! "now" they like and run in microseconds.
 
-use crate::http::{HttpError, Request, RequestParser, Response};
+use crate::http::{
+    HttpError, Request, RequestParser, Response, REQUEST_READ_DEADLINE, RESPONSE_WRITE_DEADLINE,
+};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -26,13 +27,20 @@ use std::time::Duration;
 /// coarse is fine, the deadlines are tens of seconds.
 pub const TICK: Duration = Duration::from_millis(100);
 
-/// Request read deadline in ticks (30 s, matching
-/// [`crate::http::REQUEST_READ_DEADLINE`]).
-pub const READ_DEADLINE_TICKS: u64 = 300;
+/// Request read deadline in ticks: [`REQUEST_READ_DEADLINE`] counted
+/// in [`TICK`]s.
+pub const READ_DEADLINE_TICKS: u64 = ticks(REQUEST_READ_DEADLINE);
 
-/// Response write deadline in ticks (60 s, matching
-/// [`crate::http::RESPONSE_WRITE_DEADLINE`]).
-pub const WRITE_DEADLINE_TICKS: u64 = 600;
+/// Response write deadline in ticks: [`RESPONSE_WRITE_DEADLINE`]
+/// counted in [`TICK`]s.
+pub const WRITE_DEADLINE_TICKS: u64 = ticks(RESPONSE_WRITE_DEADLINE);
+
+/// Whole ticks in `deadline`; a deadline that is not a whole number of
+/// ticks fails the build instead of being silently rounded.
+const fn ticks(deadline: Duration) -> u64 {
+    assert!(deadline.as_millis().is_multiple_of(TICK.as_millis()));
+    (deadline.as_millis() / TICK.as_millis()) as u64
+}
 
 /// Which protocol phase a connection is in.
 #[derive(Debug)]

@@ -19,8 +19,6 @@
 //! performs its next read/write, observes the error, and closes —
 //! no separate error plumbing.
 
-#![cfg(unix)]
-
 use std::io;
 use std::os::raw::{c_int, c_short, c_ulong};
 use std::os::unix::io::RawFd;

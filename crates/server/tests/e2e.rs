@@ -3,12 +3,11 @@
 //! determinism contract — identical request sequences produce
 //! **byte-identical** responses whether the server's pool has 1 thread or
 //! 4 (the HTTP twin of `session_bit_identical_across_pool_sizes`),
-//! whether the session manager runs 1 stripe or 4, and whether the
-//! serving edge is the event loop or the threaded loop. The scripts
+//! and whether the session manager runs 1 stripe or 4. The scripts
 //! include guided-exploration `suggest` calls, so the recommendation
 //! engine's chunk-ordered scoring is pinned under the same contract.
 
-use sider_server::{AcceptMode, Server, ServerConfig, ShutdownHandle};
+use sider_server::{Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -19,12 +18,7 @@ struct RunningServer {
     joiner: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-fn start_with(
-    threads: usize,
-    stripes: usize,
-    idle_timeout: Duration,
-    accept: AcceptMode,
-) -> RunningServer {
+fn start_striped(threads: usize, stripes: usize, idle_timeout: Duration) -> RunningServer {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_sessions: 16,
@@ -32,7 +26,6 @@ fn start_with(
         threads: Some(threads),
         stripes,
         store: None,
-        accept,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -44,10 +37,6 @@ fn start_with(
         handle,
         joiner,
     }
-}
-
-fn start_striped(threads: usize, stripes: usize, idle_timeout: Duration) -> RunningServer {
-    start_with(threads, stripes, idle_timeout, AcceptMode::Events)
 }
 
 fn start(threads: usize, idle_timeout: Duration) -> RunningServer {
@@ -288,63 +277,6 @@ fn multi_session_transcript_byte_identical_across_stripe_counts() {
             a,
             b,
             "step {i}: 1-stripe and 4-stripe responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
-}
-
-#[test]
-fn scripted_loop_byte_identical_across_accept_loops() {
-    // The tentpole's proof obligation: the event-driven serving edge is
-    // indistinguishable from the threaded loop on the wire — the full
-    // two-iteration exploration transcript matches byte for byte.
-    let run = |accept: AcceptMode| {
-        let server = start_with(2, 1, Duration::from_secs(3600), accept);
-        let responses = scripted_loop(server.addr);
-        server.stop();
-        responses
-    };
-    let events = run(AcceptMode::Events);
-    let threads = run(AcceptMode::Threads);
-    for (i, raw) in events.iter().enumerate() {
-        let status = status_of(raw);
-        assert!(
-            status == 200 || status == 201,
-            "step {i} failed with {status}: {}",
-            body_of(raw)
-        );
-    }
-    assert_eq!(events.len(), threads.len());
-    for (i, (a, b)) in events.iter().zip(&threads).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "step {i}: event-loop and threaded responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
-}
-
-#[test]
-fn striped_multi_session_transcript_byte_identical_across_accept_loops() {
-    // Accept loops × stripes: the striped manager behind the event loop
-    // must serve the same bytes as behind the threaded loop.
-    let run = |accept: AcceptMode| {
-        let server = start_with(1, 4, Duration::from_secs(3600), accept);
-        let responses = multi_session_script(server.addr);
-        server.stop();
-        responses
-    };
-    let events = run(AcceptMode::Events);
-    let threads = run(AcceptMode::Threads);
-    assert_eq!(events.len(), threads.len());
-    for (i, (a, b)) in events.iter().zip(&threads).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "step {i}: event-loop and threaded responses differ:\n{}\nvs\n{}",
             body_of(a),
             body_of(b)
         );

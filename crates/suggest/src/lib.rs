@@ -84,6 +84,7 @@ pub fn recommend(session: &EdaSession, req: &SuggestRequest) -> Result<SuggestRe
             "suggest needs at least 2 columns to form a projection plane".into(),
         ));
     }
+    session.ensure_finite_background()?;
     let candidates = generate_candidates(session, req.seed, req.batch)?;
 
     let data = session.data();

@@ -18,22 +18,21 @@
 //!     The same, on the paper's built-in datasets.
 //!
 //! sider serve [--addr HOST:PORT] [--max-sessions N] [--threads K]
-//!             [--stripes S] [--accept events|threads] [--data-dir DIR]
+//!             [--stripes S] [--data-dir DIR]
 //!             [--fsync always|never|N] [--checkpoint-every N]
 //!             [--ship-addr HOST:PORT] [--follow HOST:PORT] [--promote]
 //!     Run the HTTP/1.1 + JSON exploration service: many concurrent
 //!     sessions over S independent session-manager stripes, each with
 //!     its own execution pool of K threads, each session driving the
 //!     full loop (views, knowledge, warm background updates, snapshots,
-//!     SVG rendering). The serving edge defaults to the readiness-based
-//!     event loop (--accept events, no cap on open connections);
-//!     --accept threads selects the legacy blocking
-//!     thread-per-connection loop. With --data-dir the server is
+//!     SVG rendering). Connections are served by a readiness-based
+//!     event loop (epoll / poll(2); Unix only), with no cap on open
+//!     connections. With --data-dir the server is
 //!     durable: every mutating request is written through to a
 //!     per-session op-log (per-stripe `stripe-{k}/` subdirectories when
 //!     S > 1) and a restart recovers all sessions byte-identically.
 //!     Defaults honor SIDER_ADDR / SIDER_MAX_SESSIONS / SIDER_THREADS /
-//!     SIDER_STRIPES / SIDER_ACCEPT / SIDER_DATA_DIR / SIDER_FSYNC /
+//!     SIDER_STRIPES / SIDER_DATA_DIR / SIDER_FSYNC /
 //!     SIDER_CHECKPOINT_EVERY; see docs/ARCHITECTURE.md for the wire
 //!     protocol and on-disk format. With --ship-addr the (durable)
 //!     server is a replication leader: it streams every stripe's WAL
@@ -158,7 +157,7 @@ const USAGE: &str = "usage:
                  [--out DIR]
   sider demo     <fig2|xhat5|bnc|segmentation> [--out DIR]
   sider serve    [--addr HOST:PORT] [--max-sessions N] [--threads K]
-                 [--stripes S] [--accept events|threads] [--data-dir DIR]
+                 [--stripes S] [--data-dir DIR]
                  [--fsync always|never|N] [--checkpoint-every N]
                  [--ship-addr HOST:PORT] [--follow HOST:PORT] [--promote]
   sider suggest  (--data FILE.csv | --dataset fig2|xhat5|bnc|segmentation)
@@ -333,10 +332,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         );
     }
     config.stripes = cli.get_or("stripes", config.stripes)?;
-    if let Some(mode) = cli.get("accept") {
-        config.accept =
-            sider::server::AcceptMode::parse(mode).map_err(|e| format!("--accept: {e}"))?;
-    }
     if let Some(dir) = cli.get("data-dir") {
         // --data-dir overrides SIDER_DATA_DIR but keeps the env-level
         // fsync/checkpoint tuning unless flags override those too.
@@ -389,13 +384,12 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     });
     let server = sider::server::Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
     println!(
-        "sider serve: listening on http://{} ({} stripes × {} pool threads, {} session slots, {} recovered, {} accept loop)",
+        "sider serve: listening on http://{} ({} stripes × {} pool threads, {} session slots, {} recovered)",
         server.local_addr(),
         server.manager().stripes(),
         server.manager().pool().threads(),
         server.manager().max_sessions(),
         server.manager().len(),
-        server.manager().accept_loop(),
     );
     match durability {
         Some(line) => println!("sider serve: {line}"),
