@@ -1,40 +1,22 @@
-//! Scaling scenario matrix for the parallel execution and incremental
-//! spectral-maintenance subsystems.
+//! Scaling scenario matrix for the parallel execution subsystem.
 //!
 //! For every scenario `n × d` in the grid, the round-trip hot paths —
-//! background **sampling**, spectral **refresh** of all classes,
+//! background **sampling**, the warm spectral **refresh** of all classes,
 //! **whitening**, **PCA** moment accumulation and a dataset-sized
-//! **matmul** — are timed at 1, 2 and `max` threads, plus a *PR-1
-//! baseline*: the allocation-per-row sampling loop and the
-//! non-early-exit Jacobi refresh exactly as they were before these
-//! subsystems landed, compiled in today's workspace on the same hardware.
+//! **matmul** — are timed at 1, 2 and `max` threads.
 //!
 //! The refresh stage models one warm feedback round: every class's
-//! precision has moved by `k = clamp(d/8, 1, 4)` rank-1 directions
-//! since its spectrum was cached (a 2-D marking interaction perturbs 2–4
-//! directions per class — see `Solver::spectral_log`). It is timed in
-//! both modes:
+//! precision has moved along two directions (a 2-D marking interaction)
+//! since its spectrum was cached, so the refresh re-decomposes every
+//! class with `SymEigen::decompose`. Before it is timed, the refreshed
+//! distribution is checked bit for bit against one built from scratch
+//! from the same parameters.
 //!
-//! * **incremental** — the shipped warm path: cached eigendecompositions
-//!   brought current by `k` rank-1 secular updates (`O(d²·k)` per class);
-//!   this is the `refresh_ns` that enters `hot_total_ns`;
-//! * **full** — the pre-incremental path (empty rank-1 log): a fresh
-//!   `O(d³)` Jacobi solve per class, recorded as `refresh_full_ns` and
-//!   summarized per scenario under `refresh_mode` with
-//!   `incremental_speedup = full / incremental`.
-//!
-//! Three claims are persisted to `BENCH_scaling.json`:
-//!
-//! * **serial win** — `serial_speedup_vs_pr1` compares the 1-thread run of
-//!   the new kernels (incremental refresh) against the PR-1 baseline
-//!   (allocation removal, loop order, rank-1 spectral maintenance);
-//! * **incremental win** — `refresh_mode.incremental_speedup`, the
-//!   algorithmic rank-1-vs-Jacobi ratio on identical inputs and identical
-//!   resulting distributions (within spectral tolerance);
-//! * **parallel win** — `parallel_speedup_max_vs_1` compares max-thread vs
-//!   1-thread runs of the same kernels (only meaningful when the host
-//!   grants more than one CPU; `available_parallelism` is recorded so the
-//!   trajectory can be read in context).
+//! The persisted speedup claim is the **parallel win** —
+//! `parallel_speedup_max_vs_1` compares max-thread vs 1-thread runs of
+//! the same kernels (only meaningful when the host grants more than one
+//! CPU; `available_parallelism` is recorded so the trajectory can be read
+//! in context).
 //!
 //! Every scenario also times the **cold eigensolver** on one class
 //! precision: the raw cyclic Jacobi (`eigen.jacobi_ns`) against the
@@ -44,8 +26,8 @@
 //! `d < 32` the dispatch *is* Jacobi, so the ratio hovers around 1; at
 //! `d ≥ 32` it is the cold-refit win the CI schema check gates on.
 //!
-//! Every run also cross-checks that sampling (from the incrementally
-//! refreshed distribution), whitening, the fused whiten+moment kernel
+//! Every run also cross-checks that sampling, whitening (including by
+//! the refreshed distribution), the fused whiten+moment kernel
 //! and PCA produce **bit-identical** outputs at every thread count
 //! (`bit_identical_across_threads`), which is the determinism contract
 //! of `sider_par`.
@@ -65,7 +47,7 @@ use sider_bench::{median_duration, smoke_mode, time};
 use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
 use sider_maxent::params::ClassParams;
-use sider_maxent::{BackgroundDistribution, RefreshStats};
+use sider_maxent::BackgroundDistribution;
 use sider_par::ThreadPool;
 use sider_projection::pca_directions_with;
 use sider_stats::Rng;
@@ -83,27 +65,17 @@ struct Scenario {
     d: usize,
 }
 
-/// Pending rank of the modeled feedback round. A 2-D marking interaction
-/// perturbs 2–4 quadratic directions per affected class (the two marked
-/// axes plus the margins aligned with them — see `Solver::spectral_log`),
-/// so the modeled rank grows gently with `d` and stays well inside the
-/// incremental-refresh budget `max(1, d/4)`.
-fn pending_rank(d: usize) -> usize {
-    (d / 8).clamp(1, 4)
-}
-
 struct StageTimes {
     threads: usize,
     sample: Duration,
     refresh: Duration,
-    refresh_full: Duration,
     whiten: Duration,
     pca: Duration,
     matmul: Duration,
 }
 
 impl StageTimes {
-    /// The acceptance metric: sampling + (incremental) refresh wall time.
+    /// The acceptance metric: sampling + warm refresh wall time.
     fn hot_total(&self) -> Duration {
         self.sample + self.refresh
     }
@@ -182,104 +154,49 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     let w = Rng::seed_from_u64(7).standard_normal_matrix(d, d);
 
     // ---- The feedback round being refreshed: every class's precision
-    // moves by k rank-1 directions (as a warm solver fit logs them), so
-    // the full path re-decomposes from scratch while the incremental
-    // path replays the k moves against the cached spectrum. ----
-    let k = pending_rank(d);
+    // moves along two unit directions, as a warm solver fit leaves it, so
+    // the refresh re-decomposes every class. The result must equal a
+    // distribution built from scratch, bit for bit. ----
     let mut dir_rng = Rng::seed_from_u64(0xd1f ^ (n as u64) ^ ((d as u64) << 24));
-    let pending: Vec<Vec<(Vec<f64>, f64)>> = (0..N_CLASSES)
-        .map(|c| {
-            (0..k)
-                .map(|j| {
-                    let mut dir = dir_rng.standard_normal_vec(d);
-                    let norm = vector::norm2(&dir).max(1e-12);
-                    vector::scale(&mut dir, 1.0 / norm);
-                    // Moderate positive multipliers (a variance-shrinking
-                    // feedback step), varied per class and direction.
-                    let lam = 0.3 + 0.15 * ((c + j) % 5) as f64;
-                    (dir, lam)
-                })
-                .collect()
-        })
-        .collect();
     let updated_params: Vec<ClassParams> = params
         .iter()
-        .zip(&pending)
-        .map(|(p, moves)| {
+        .enumerate()
+        .map(|(c, p)| {
             let mut p = p.clone();
-            for (dir, lam) in moves {
-                let r = woodbury::prepare(&p.sigma, dir);
-                woodbury::apply(&mut p.sigma, &r, *lam);
-                woodbury::precision_update(&mut p.prec, dir, *lam);
+            for j in 0..2 {
+                let mut dir = dir_rng.standard_normal_vec(d);
+                let norm = vector::norm2(&dir).max(1e-12);
+                vector::scale(&mut dir, 1.0 / norm);
+                // Moderate positive multipliers (a variance-shrinking
+                // feedback step), varied per class and direction.
+                let lam = 0.3 + 0.15 * ((c + j) % 5) as f64;
+                let r = woodbury::prepare(&p.sigma, &dir);
+                woodbury::apply(&mut p.sigma, &r, lam);
+                woodbury::precision_update(&mut p.prec, &dir, lam);
             }
             p
         })
         .collect();
-    let rank1_log: Vec<Vec<(&[f64], f64)>> = pending
-        .iter()
-        .map(|moves| {
-            moves
-                .iter()
-                .map(|(dir, lam)| (dir.as_slice(), *lam))
-                .collect()
-        })
-        .collect();
-    let empty_log: Vec<Vec<(&[f64], f64)>> = Vec::new();
-
-    // ---- PR-1 baseline: allocation-per-row sampling, non-early-exit
-    // Jacobi refresh, both serial. The spectral factors are prepared
-    // outside the timed region — PR-1's sample() read them from the
-    // ClassModel cache, so timing their construction would double-count
-    // the refresh stage and inflate the serial speedup. ----
-    let factors = pr1_factors(&bg);
-    let baseline_sample = median_of(reps, || {
-        let mut rng = Rng::seed_from_u64(11);
-        time(|| pr1_sample(&bg, &factors, &mut rng)).1
-    });
-    let baseline_refresh = median_of(reps, || time(|| pr1_refresh_all(&updated_params)).1);
-
-    // ---- Incremental-vs-full agreement (thread-independent, by the
-    // pool determinism contract — checked once, serially): the two modes
-    // must produce the same whitening transform (same spectrum within
-    // secular tolerance) for the speedup comparison to be meaningful,
-    // and the scenario must actually drive the fast path. ----
     let serial = ThreadPool::serial();
-    let refresh_stats: RefreshStats;
     {
-        let mut incr = bg.clone();
-        refresh_stats = incr.refresh_from_class_params_with(
+        let mut warm = bg.clone();
+        let stats = warm.refresh_from_class_params_with(
             class_of_row.clone(),
             &updated_params,
             &parents,
             &mean_clean,
             &cov_dirty,
-            &rank1_log,
             &serial,
         );
-        if refresh_stats.eigen_rank_updated != N_CLASSES {
-            eprintln!(
-                "scaling/{n}x{d}: incremental refresh did not take the fast path: {refresh_stats:?}"
-            );
-            std::process::exit(1);
-        }
-        let mut full = bg.clone();
-        full.refresh_from_class_params_with(
-            class_of_row.clone(),
-            &updated_params,
-            &parents,
-            &mean_clean,
-            &cov_dirty,
-            &empty_log,
-            &serial,
-        );
+        let fresh =
+            BackgroundDistribution::from_class_params(d, class_of_row.clone(), &updated_params);
         let mut rng = Rng::seed_from_u64(11);
         let sampled = bg.sample_with(&mut rng, &serial);
-        let incr_whitened = incr.whiten_with(&sampled, &serial).unwrap();
-        let full_whitened = full.whiten_with(&sampled, &serial).unwrap();
-        let agree = incr_whitened.max_abs_diff(&full_whitened);
-        let agree_ok = agree.is_finite() && agree < 1e-6;
-        if !agree_ok {
-            eprintln!("scaling/{n}x{d}: incremental vs full refresh disagree by {agree}");
+        let same = stats.eigen_recomputed == N_CLASSES
+            && warm.whiten_with(&sampled, &serial).unwrap().as_slice()
+                == fresh.whiten_with(&sampled, &serial).unwrap().as_slice();
+        if !same {
+            eprintln!("scaling/{n}x{d}: warm refresh differs from a fresh build: {stats:?}");
             std::process::exit(1);
         }
     }
@@ -333,39 +250,21 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
                     &parents,
                     &mean_clean,
                     &cov_dirty,
-                    &rank1_log,
-                    &pool,
-                )
-            })
-            .1
-        });
-        let refresh_full = median_of(reps, || {
-            let mut target = bg.clone();
-            time(|| {
-                target.refresh_from_class_params_with(
-                    class_of_row.clone(),
-                    &updated_params,
-                    &parents,
-                    &mean_clean,
-                    &cov_dirty,
-                    &empty_log,
                     &pool,
                 )
             })
             .1
         });
 
-        // Materialize the incrementally refreshed distribution at this
-        // pool size: its whitening output enters the bit-identity check
-        // below (the full-mode agreement was established once above).
-        let mut incr = bg.clone();
-        incr.refresh_from_class_params_with(
+        // Materialize the refreshed distribution at this pool size: its
+        // whitening output enters the bit-identity check below.
+        let mut refreshed = bg.clone();
+        refreshed.refresh_from_class_params_with(
             class_of_row.clone(),
             &updated_params,
             &parents,
             &mean_clean,
             &cov_dirty,
-            &rank1_log,
             &pool,
         );
 
@@ -373,7 +272,7 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         let sampled = bg.sample_with(&mut rng, &pool);
         let whiten = median_of(reps, || time(|| bg.whiten_with(&sampled, &pool).unwrap()).1);
         let whitened = bg.whiten_with(&sampled, &pool).unwrap();
-        let refreshed_whitened = incr.whiten_with(&sampled, &pool).unwrap();
+        let refreshed_whitened = refreshed.whiten_with(&sampled, &pool).unwrap();
         let pca = median_of(reps, || {
             time(|| pca_directions_with(&whitened, &pool).unwrap()).1
         });
@@ -406,7 +305,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             threads,
             sample,
             refresh,
-            refresh_full,
             whiten,
             pca,
             matmul,
@@ -427,14 +325,10 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         .iter()
         .find(|r| r.threads == max_threads)
         .expect("max-thread run present");
-    let baseline_total = baseline_sample + baseline_refresh;
-    let serial_speedup = ratio(baseline_total, t1.hot_total());
     let parallel_speedup = ratio(t1.hot_total(), tmax.hot_total());
-    let incremental_speedup = ratio(t1.refresh_full, t1.refresh);
 
     println!(
-        "scaling/{n}x{d}: pr1 {:.1}ms -> serial {:.1}ms ({serial_speedup:.2}x, refresh rank-{k} incr {incremental_speedup:.2}x vs full, cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
-        baseline_total.as_secs_f64() * 1e3,
+        "scaling/{n}x{d}: serial {:.1}ms (cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
         t1.hot_total().as_secs_f64() * 1e3,
         tmax.threads,
         tmax.hot_total().as_secs_f64() * 1e3,
@@ -445,11 +339,10 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         .iter()
         .map(|r| {
             format!(
-                "        {{ \"threads\": {}, \"sample_ns\": {}, \"refresh_ns\": {}, \"refresh_full_ns\": {}, \"whiten_ns\": {}, \"pca_ns\": {}, \"matmul_ns\": {}, \"hot_total_ns\": {} }}",
+                "        {{ \"threads\": {}, \"sample_ns\": {}, \"refresh_ns\": {}, \"whiten_ns\": {}, \"pca_ns\": {}, \"matmul_ns\": {}, \"hot_total_ns\": {} }}",
                 r.threads,
                 r.sample.as_nanos(),
                 r.refresh.as_nanos(),
-                r.refresh_full.as_nanos(),
                 r.whiten.as_nanos(),
                 r.pca.as_nanos(),
                 r.matmul.as_nanos(),
@@ -457,13 +350,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             )
         })
         .collect();
-    let refresh_mode = format!(
-        "{{ \"rank\": {k}, \"full_ns\": {}, \"incremental_ns\": {}, \"incremental_speedup\": {incremental_speedup:.3}, \"eigen_rank_updated\": {}, \"rank1_directions_applied\": {} }}",
-        t1.refresh_full.as_nanos(),
-        t1.refresh.as_nanos(),
-        refresh_stats.eigen_rank_updated,
-        refresh_stats.rank1_directions_applied,
-    );
     let store_json = format!(
         "{{ \"recover_ns\": {}, \"recover_ops\": {recover_ops}, \"wal_bytes\": {wal_bytes} }}",
         recover.as_nanos(),
@@ -475,10 +361,7 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     );
     format!
         (
-        "    {{\n      \"n\": {n},\n      \"d\": {d},\n      \"baseline_pr1\": {{ \"sample_ns\": {}, \"refresh_ns\": {}, \"hot_total_ns\": {} }},\n      \"refresh_mode\": {refresh_mode},\n      \"eigen\": {eigen_json},\n      \"store\": {store_json},\n      \"runs\": [\n{}\n      ],\n      \"bit_identical_across_threads\": {bit_identical},\n      \"serial_speedup_vs_pr1\": {serial_speedup:.3},\n      \"parallel_speedup_max_vs_1\": {parallel_speedup:.3}\n    }}",
-        baseline_sample.as_nanos(),
-        baseline_refresh.as_nanos(),
-        baseline_total.as_nanos(),
+        "    {{\n      \"n\": {n},\n      \"d\": {d},\n      \"eigen\": {eigen_json},\n      \"store\": {store_json},\n      \"runs\": [\n{}\n      ],\n      \"bit_identical_across_threads\": {bit_identical},\n      \"parallel_speedup_max_vs_1\": {parallel_speedup:.3}\n    }}",
         runs_json.join(",\n"),
     )
 }
@@ -570,140 +453,4 @@ fn median_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
 
 fn ratio(a: Duration, b: Duration) -> f64 {
     a.as_secs_f64() / b.as_secs_f64().max(1e-12)
-}
-
-// ---------------------------------------------------------------------------
-// PR-1 reference kernels (the code shape before this subsystem landed).
-// ---------------------------------------------------------------------------
-
-/// Per-class spectral factors, prepared once like ClassModel caches them
-/// at fit time (outside the sampling hot path).
-fn pr1_factors(bg: &BackgroundDistribution) -> Vec<(Matrix, Vec<f64>)> {
-    (0..N_CLASSES)
-        .map(|c| {
-            // Any row of class c (round-robin assignment ⇒ row c).
-            let eig = sym_eigen(bg.precision(c)).expect("bench precision eigen");
-            let scale: Vec<f64> = eig
-                .values
-                .iter()
-                .map(|&ev| {
-                    let ev = ev.max(0.0);
-                    if ev >= 1e10 {
-                        0.0
-                    } else if ev > 1e-12 {
-                        1.0 / ev.sqrt()
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
-            (eig.vectors, scale)
-        })
-        .collect()
-}
-
-/// PR-1 sampling loop: sequential shared RNG, one `standard_normal_vec`
-/// and one `matvec` allocation per row, `set_row` copy into the output.
-fn pr1_sample(
-    bg: &BackgroundDistribution,
-    factors: &[(Matrix, Vec<f64>)],
-    rng: &mut Rng,
-) -> Matrix {
-    let n = bg.n();
-    let d = bg.d();
-    let mut out = Matrix::zeros(n, d);
-    for i in 0..n {
-        let (u, scale) = &factors[bg.class_of_row(i)];
-        let mut z = rng.standard_normal_vec(d);
-        for (zk, &s) in z.iter_mut().zip(scale) {
-            *zk *= s;
-        }
-        let mut x = u.matvec(&z);
-        vector::axpy(1.0, bg.mean(i), &mut x);
-        out.set_row(i, &x);
-    }
-    out
-}
-
-/// PR-1 refresh: serial per-class eigendecomposition with the
-/// pre-early-exit cyclic Jacobi, plus the whitening-map reconstruction.
-fn pr1_refresh_all(params: &[ClassParams]) -> Vec<(Matrix, Matrix)> {
-    params
-        .iter()
-        .map(|p| {
-            let d = p.prec.rows();
-            let eig = pr1_jacobi(&p.prec);
-            let mut whiten = Matrix::zeros(d, d);
-            for k in 0..eig.0.len() {
-                let ev = eig.0[k].max(0.0);
-                if ev >= 1e10 {
-                    continue;
-                }
-                let col = eig.1.col(k);
-                whiten.add_outer(ev.sqrt(), &col, &col);
-            }
-            (whiten, eig.1)
-        })
-        .collect()
-}
-
-/// The pre-early-exit cyclic Jacobi: rotates every pivot above 1e-300 and
-/// checks convergence only at sweep boundaries.
-fn pr1_jacobi(a: &Matrix) -> (Vec<f64>, Matrix) {
-    let n = a.rows();
-    let mut m = a.clone();
-    m.symmetrize();
-    let mut v = Matrix::identity(n);
-    let norm = m.frobenius_norm().max(1e-300);
-    let tol = 1e-14 * norm;
-    for _sweep in 0..64 {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += 2.0 * m[(i, j)] * m[(i, j)];
-            }
-        }
-        if off.sqrt() <= tol {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                for k in 0..n {
-                    if k != p && k != q {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(p, k)] = m[(k, p)];
-                        m[(k, q)] = s * mkp + c * mkq;
-                        m[(q, k)] = m[(k, q)];
-                    }
-                }
-                m[(p, p)] = app - t * apq;
-                m[(q, q)] = aqq + t * apq;
-                m[(p, q)] = 0.0;
-                m[(q, p)] = 0.0;
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    ((0..n).map(|i| m[(i, i)]).collect(), v)
 }

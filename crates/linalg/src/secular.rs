@@ -1,21 +1,16 @@
 //! The diagonal-plus-rank-1 symmetric eigenproblem `D + ρ·z·zᵀ`.
 //!
-//! This is the shared inner kernel of two callers:
+//! This is the inner kernel of the merge step of the tridiagonal
+//! divide-and-conquer solver ([`crate::eigen_dc`]): after splitting `T` on
+//! an off-diagonal element, the two halves' eigendecompositions combine
+//! into exactly this problem with `ρ` the split coupling (Cuppen 1981;
+//! deflation à la Bunch–Nielsen–Sorensen 1978).
 //!
-//! * [`SymEigen::rank1_update`](crate::SymEigen::rank1_update) — the
-//!   Bunch–Nielsen–Sorensen incremental maintenance path, which rotates a
-//!   rank-1 perturbation into the current eigenbasis;
-//! * the merge step of the tridiagonal divide-and-conquer solver
-//!   ([`crate::eigen_dc`]) — after splitting `T` on an off-diagonal
-//!   element, the two halves' eigendecompositions combine into exactly
-//!   this problem with `ρ` the split coupling.
-//!
-//! Both reduce to: eigenvalues of `D + ρzzᵀ` are the roots of the
-//! *secular equation* `f(λ) = 1 + ρ·Σᵢ zᵢ²/(dᵢ − λ) = 0`, one root
-//! strictly interlaced in each gap of the (deflated) spectrum. The
-//! machinery lives here once — deflation, the two-pole-initialized
-//! safeguarded Newton, and the negated-problem path for `ρ < 0` — so the
-//! update and D&C paths cannot diverge.
+//! The eigenvalues of `D + ρzzᵀ` are the roots of the *secular equation*
+//! `f(λ) = 1 + ρ·Σᵢ zᵢ²/(dᵢ − λ) = 0`, one root strictly interlaced in
+//! each gap of the (deflated) spectrum. The machinery here is deflation,
+//! the two-pole-initialized safeguarded Newton, and the negated-problem
+//! path for `ρ < 0`.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -408,6 +403,23 @@ mod tests {
         }
     }
 
+    /// `D + ρzzᵀ` built explicitly in the basis `v` (`V·(D + ρzzᵀ)·Vᵀ`).
+    fn explicit(d: &[f64], z: &[f64], rho: f64) -> Matrix {
+        let mut a = Matrix::from_diag(d);
+        a.add_outer(rho, z, z);
+        a
+    }
+
+    /// `v·diag(vals)·vᵀ`.
+    fn reconstruct(vals: &[f64], v: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(v.rows(), v.rows());
+        for (k, &val) in vals.iter().enumerate() {
+            let col = v.col(k);
+            out.add_outer(val, &col, &col);
+        }
+        out
+    }
+
     #[test]
     fn full_deflation_reports_noop() {
         let d = [1.0, 2.0, 3.0];
@@ -416,6 +428,33 @@ mod tests {
         let out = diag_plus_rank1_in_basis(&d, &mut z, 1.0, &mut v).unwrap();
         assert!(out.is_none());
         assert_eq!(v, Matrix::identity(3));
+        // ρ = 0 is an exact no-op for any z.
+        let mut z = [0.4, -0.7, 0.2];
+        let out = diag_plus_rank1_in_basis(&d, &mut z, 0.0, &mut v).unwrap();
+        assert!(out.is_none());
+        assert_eq!(v, Matrix::identity(3));
+
+        // A single deflated component next to distinct poles — an exact
+        // zero, or one below `Z_DEFLATE_REL·‖z‖` — leaves its eigenpair
+        // (3, e₂) untouched bit for bit while the others move.
+        let d = [1.0, 3.0, 7.0];
+        let znorm = 5.0f64.sqrt();
+        for z1 in [0.0, 0.5 * Z_DEFLATE_REL * znorm] {
+            let z0 = [2.0, z1, -1.0];
+            let mut z = z0;
+            let mut v = Matrix::identity(3);
+            let vals = diag_plus_rank1_in_basis(&d, &mut z, 0.9, &mut v)
+                .unwrap()
+                .unwrap();
+            let k = vals
+                .iter()
+                .position(|&x| x == 3.0)
+                .expect("deflated eigenvalue must survive exactly");
+            assert_eq!(v.col(k), vec![0.0, 1.0, 0.0], "z1={z1}");
+            let target = explicit(&d, &[2.0, 0.0, -1.0], 0.9);
+            assert!(reconstruct(&vals, &v).max_abs_diff(&target) < 1e-12);
+            assert!(v.gram().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+        }
     }
 
     #[test]
@@ -432,5 +471,20 @@ mod tests {
         assert!((vals[2] - 3.0).abs() < 1e-12);
         // Basis stays orthonormal through the Givens rotations.
         assert!(v.gram().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+
+        // Partially repeated spectrum diag(2, 2, 2, 5, 5, 9): each plateau
+        // collapses onto one representative, the rest solve as usual.
+        let d = [2.0, 2.0, 2.0, 5.0, 5.0, 9.0];
+        let z0 = [0.5, -0.25, 0.125, 1.0, -0.5, 0.75];
+        let mut z = z0;
+        let mut v = Matrix::identity(6);
+        let vals = diag_plus_rank1_in_basis(&d, &mut z, 1.5, &mut v)
+            .unwrap()
+            .unwrap();
+        assert_eq!(vals.iter().filter(|&&x| x == 2.0).count(), 2);
+        assert_eq!(vals.iter().filter(|&&x| x == 5.0).count(), 1);
+        assert!(vals.windows(2).all(|w| w[0] <= w[1]), "{vals:?}");
+        assert!(reconstruct(&vals, &v).max_abs_diff(&explicit(&d, &z0, 1.5)) < 1e-10);
+        assert!(v.gram().max_abs_diff(&Matrix::identity(6)) < 1e-12);
     }
 }

@@ -96,17 +96,12 @@ impl SolverState {
         let any_dirty = self.solver.mean_dirty().iter().any(|&b| b)
             || self.solver.cov_dirty().iter().any(|&b| b);
         if any_dirty || self.solver.n_classes() > self.background.n_classes() {
-            // The pending rank-1 moves let the refresh update cached
-            // eigendecompositions in O(d²·k) instead of O(d³) where the
-            // per-class rank k fits the budget (full Jacobi otherwise).
-            let rank1_log = self.solver.spectral_log();
             self.last_refresh = self.background.refresh_from_class_params_with(
                 self.solver.partition().class_of_row.clone(),
                 self.solver.class_params(),
                 self.solver.parent_of_class(),
                 self.solver.mean_dirty(),
                 self.solver.cov_dirty(),
-                &rank1_log,
                 &self.pool,
             );
             self.solver.reset_dirty();

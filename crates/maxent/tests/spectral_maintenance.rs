@@ -1,15 +1,16 @@
-//! Warm-loop equivalence tests for incremental spectral maintenance:
-//! a session whose background refresh goes through rank-1 eigen updates
-//! must produce the same whiten/sample outputs as a cold refit, the
-//! rank-budget fallback must actually trigger, and everything stays
-//! bit-identical across thread-pool sizes.
+//! Warm-loop equivalence tests for the background refresh: after every
+//! refit, the cached background — cov-dirty classes re-decomposed,
+//! mean-only classes with a swapped mean, split-off classes cloned from
+//! their parent — must equal a fresh decomposition of the solver's
+//! current parameters bit for bit, on whitening and on seeded sampling,
+//! at any thread-pool size.
 
 use sider_linalg::Matrix;
 use sider_maxent::constraint::{cluster_constraints, margin_constraints, twod_constraints};
 use sider_maxent::engine::SolverState;
 use sider_maxent::rowset::RowSet;
 use sider_maxent::solver::FitOpts;
-use sider_maxent::Constraint;
+use sider_maxent::{BackgroundDistribution, Constraint};
 use sider_par::ThreadPool;
 use sider_stats::Rng;
 use std::sync::Arc;
@@ -26,9 +27,16 @@ fn gen_data(seed: u64, n: usize, d: usize) -> Matrix {
     })
 }
 
+fn pool_of(threads: usize) -> Arc<ThreadPool> {
+    Arc::new(if threads == 1 {
+        ThreadPool::serial()
+    } else {
+        ThreadPool::new(threads)
+    })
+}
+
 /// Axis-pair (e₀, e₁) 2-D feedback over the first third of the rows —
-/// the paper's canonical projection-marking interaction, and a rank-2
-/// update per affected class.
+/// the paper's canonical projection-marking interaction.
 fn twod_feedback(data: &Matrix) -> Vec<Constraint> {
     let (n, d) = data.shape();
     let rows = RowSet::from_indices(&(0..n / 3).collect::<Vec<_>>());
@@ -39,11 +47,37 @@ fn twod_feedback(data: &Matrix) -> Vec<Constraint> {
     twod_constraints(data, rows, &a1, &a2, "v").unwrap()
 }
 
+/// `cached` whitens and samples exactly — bit for bit — like `fresh`.
+fn assert_bit_equal(
+    cached: &BackgroundDistribution,
+    fresh: &BackgroundDistribution,
+    data: &Matrix,
+    ctx: &str,
+) {
+    assert_eq!(
+        cached.whiten(data).unwrap().as_slice(),
+        fresh.whiten(data).unwrap().as_slice(),
+        "{ctx}: whiten differs from a fresh decomposition"
+    );
+    assert_eq!(
+        cached.sample(&mut Rng::seed_from_u64(3)).as_slice(),
+        fresh.sample(&mut Rng::seed_from_u64(3)).as_slice(),
+        "{ctx}: sample differs from a fresh decomposition"
+    );
+}
+
+/// The engine's cached background equals a fresh decomposition of its
+/// solver's current parameters.
+fn assert_cache_is_fresh(st: &SolverState, data: &Matrix, ctx: &str) {
+    assert_bit_equal(st.background(), &st.solver().distribution(), data, ctx);
+}
+
 #[test]
 fn warm_incremental_refresh_matches_cold_refit() {
-    // d = 16 ⇒ rank budget 4; a twod round moves only the two marked
-    // axes (plus the two aligned margins), so the incremental path must
-    // carry the refresh — and still agree with a from-scratch fit.
+    // A twod round at d = 16 moves the two marked axes (plus the two
+    // aligned margins) for the marked rows' classes only: the warm
+    // refresh re-decomposes those and must still agree with a from-scratch
+    // fit.
     let data = gen_data(11, 60, 16);
     let margins = margin_constraints(&data).unwrap();
     let feedback = twod_feedback(&data);
@@ -52,111 +86,33 @@ fn warm_incremental_refresh_matches_cold_refit() {
     warm.refit(feedback.clone(), &tight()).unwrap();
     let stats = warm.last_refresh();
     assert!(
-        stats.eigen_rank_updated > 0,
-        "twod feedback at d=16 must take the rank-1 fast path: {stats:?}"
+        stats.eigen_recomputed > 0,
+        "twod feedback must move a covariance: {stats:?}"
     );
-    assert!(stats.rank1_directions_applied >= stats.eigen_rank_updated);
 
-    // (a) Tight agreement with a full Jacobi decomposition of the *same*
-    // solver parameters: this isolates the spectral-maintenance error
-    // from warm-vs-cold solver differences.
-    let rebuilt = warm.solver().distribution();
-    let y_inc = warm.background().whiten(&data).unwrap();
-    let y_jac = rebuilt.whiten(&data).unwrap();
-    assert!(
-        y_inc.max_abs_diff(&y_jac) < 1e-8,
-        "incremental whiten drifted from Jacobi by {}",
-        y_inc.max_abs_diff(&y_jac)
-    );
-    let s_inc = warm.background().sample(&mut Rng::seed_from_u64(3));
-    let s_jac = rebuilt.sample(&mut Rng::seed_from_u64(3));
-    assert!(
-        s_inc.max_abs_diff(&s_jac) < 1e-8,
-        "incremental sample drifted from Jacobi by {}",
-        s_inc.max_abs_diff(&s_jac)
-    );
+    // (a) Bit-identical to a fresh decomposition of the *same* solver
+    // parameters.
+    assert_cache_is_fresh(&warm, &data, "twod round");
 
     // (b) End-to-end agreement with a cold session over the union of
     // constraints (within the fit tolerances, as for any warm refit).
+    let y_warm = warm.background().whiten(&data).unwrap();
+    let s_warm = warm.background().sample(&mut Rng::seed_from_u64(3));
     let mut all = margins;
     all.extend(feedback);
     let (cold, _) = SolverState::cold(&data, all, &tight()).unwrap();
     let y_cold = cold.background().whiten(&data).unwrap();
     assert!(
-        y_inc.max_abs_diff(&y_cold) < 1e-5,
-        "incremental session vs cold refit: whiten diff {}",
-        y_inc.max_abs_diff(&y_cold)
+        y_warm.max_abs_diff(&y_cold) < 1e-5,
+        "warm session vs cold refit: whiten diff {}",
+        y_warm.max_abs_diff(&y_cold)
     );
     let s_cold = cold.background().sample(&mut Rng::seed_from_u64(3));
     assert!(
-        s_inc.max_abs_diff(&s_cold) < 1e-4,
-        "incremental session vs cold refit: sample diff {}",
-        s_inc.max_abs_diff(&s_cold)
+        s_warm.max_abs_diff(&s_cold) < 1e-4,
+        "warm session vs cold refit: sample diff {}",
+        s_warm.max_abs_diff(&s_cold)
     );
-}
-
-#[test]
-fn rank_budget_overflow_falls_back_to_full_jacobi() {
-    // Cluster feedback moves a full basis of d quadratic directions per
-    // affected class — far over the d/4 budget — so the refresh must
-    // take the Jacobi path for every cov-dirty class and still be exact.
-    let data = gen_data(23, 45, 8);
-    let (mut warm, _) =
-        SolverState::cold(&data, margin_constraints(&data).unwrap(), &tight()).unwrap();
-    let rows = RowSet::from_indices(&(0..15).collect::<Vec<_>>());
-    let cluster = cluster_constraints(&data, rows, "c").unwrap();
-    warm.refit(cluster, &tight()).unwrap();
-    let stats = warm.last_refresh();
-    assert_eq!(
-        stats.eigen_rank_updated, 0,
-        "budget overflow must not take the incremental path: {stats:?}"
-    );
-    assert_eq!(stats.rank1_directions_applied, 0);
-    assert!(
-        stats.eigen_recomputed > 0,
-        "cov-dirty classes must fall back to full Jacobi: {stats:?}"
-    );
-    // Fallback result is the exact fresh decomposition.
-    let rebuilt = warm.solver().distribution();
-    for row in 0..data.rows() {
-        assert_eq!(warm.background().cov(row), rebuilt.cov(row));
-    }
-    let y = warm.background().whiten(&data).unwrap();
-    let y_jac = rebuilt.whiten(&data).unwrap();
-    assert_eq!(y.as_slice(), y_jac.as_slice());
-}
-
-#[test]
-fn small_d_budget_floor_still_allows_rank_one() {
-    // d < RANK_BUDGET_DIV: the budget floors at 1, so a single moved
-    // direction is still maintained incrementally. One quadratic
-    // constraint along e₀ over all rows moves exactly one direction.
-    let data = gen_data(7, 30, 3);
-    let margins = margin_constraints(&data).unwrap();
-    let (mut warm, _) = SolverState::cold(&data, margins, &tight()).unwrap();
-    let mut w = vec![0.0; 3];
-    w[0] = 1.0;
-    // Shifted-variance feedback re-using the margin direction: exactly
-    // one quadratic direction moves (coalesced in the log).
-    let c = Constraint::quadratic(
-        &data,
-        RowSet::from_indices(&(0..10).collect::<Vec<_>>()),
-        w,
-        "probe",
-    )
-    .unwrap();
-    warm.refit(vec![c], &tight()).unwrap();
-    let stats = warm.last_refresh();
-    // Either the fast path fired (expected: rank ≤ 1 per class), or a
-    // second direction was perturbed and the fallback kicked in — but
-    // for this aligned probe the former must hold.
-    assert!(
-        stats.eigen_rank_updated > 0,
-        "single-direction feedback at d=3 must use the budget floor: {stats:?}"
-    );
-    let rebuilt = warm.solver().distribution();
-    let y = warm.background().whiten(&data).unwrap();
-    assert!(y.max_abs_diff(&rebuilt.whiten(&data).unwrap()) < 1e-8);
 }
 
 #[test]
@@ -164,10 +120,9 @@ fn split_from_dirty_parent_keeps_cache_consistent() {
     // Direct Solver + refresh API, with no reset between the fit that
     // moves a class and the append that splits it (the engine always
     // resets in between, but the public API allows this sequence): the
-    // child carries the parent's pending rank-1 moves, so it must
-    // inherit the parent's dirty flags and be refreshed itself —
-    // otherwise it would keep a clone of the parent's *pre-move* cached
-    // spectrum and drift silently.
+    // child carries the parent's moved parameters, so it must inherit the
+    // parent's dirty flags and be refreshed itself — otherwise it would
+    // keep a clone of the parent's *pre-move* cached spectrum.
     use sider_maxent::Solver;
     let (n, d) = (40usize, 8usize);
     // Correlated columns: the margins leave cross-covariances unmatched,
@@ -182,13 +137,12 @@ fn split_from_dirty_parent_keeps_cache_consistent() {
     });
     let mut s = Solver::new(&data, margin_constraints(&data).unwrap()).unwrap();
     s.fit(&tight());
-    let mut bg = s.distribution();
+    let bg = s.distribution();
     s.reset_dirty(); // cache synced with the solver here
 
     // A quadratic statement along (e₀+e₁)/√2 over *all* rows: the class
     // layout is unchanged (no split), but the cross-covariance target
-    // moves λ — the cached all-rows class is now cov-dirty with a
-    // non-empty pending log...
+    // moves λ — the cached all-rows class is now cov-dirty...
     let mut w = vec![0.0; d];
     w[0] = std::f64::consts::FRAC_1_SQRT_2;
     w[1] = std::f64::consts::FRAC_1_SQRT_2;
@@ -215,37 +169,32 @@ fn split_from_dirty_parent_keeps_cache_consistent() {
     )
     .unwrap();
     s.append_constraints(vec![split]).unwrap();
-
-    let log = s.spectral_log();
-    bg.refresh_from_class_params_with(
-        s.partition().class_of_row.clone(),
-        s.class_params(),
-        s.parent_of_class(),
-        s.mean_dirty(),
-        s.cov_dirty(),
-        &log,
-        &ThreadPool::serial(),
-    );
-    drop(log);
-    s.reset_dirty();
-
-    // Every class — the split-off child included — must now match a
-    // fresh decomposition of the current solver parameters.
-    let fresh = s.distribution();
-    let y = bg.whiten(&data).unwrap();
-    let y_fresh = fresh.whiten(&data).unwrap();
     assert!(
-        y.max_abs_diff(&y_fresh) < 1e-7,
-        "refreshed cache drifted from the solver state by {}",
-        y.max_abs_diff(&y_fresh)
+        s.cov_dirty().iter().all(|&b| b),
+        "the split-off child must inherit its parent's cov-dirty flag"
     );
-    let mut rng_a = Rng::seed_from_u64(5);
-    let mut rng_b = Rng::seed_from_u64(5);
-    assert!(
-        bg.sample(&mut rng_a)
-            .max_abs_diff(&fresh.sample(&mut rng_b))
-            < 1e-7
-    );
+
+    for threads in [1usize, 2, 4] {
+        let mut cached = bg.clone();
+        let stats = cached.refresh_from_class_params_with(
+            s.partition().class_of_row.clone(),
+            s.class_params(),
+            s.parent_of_class(),
+            s.mean_dirty(),
+            s.cov_dirty(),
+            &pool_of(threads),
+        );
+        assert_eq!(stats.eigen_recomputed, s.n_classes(), "{stats:?}");
+        assert_eq!(stats.cloned_from_parent, 0, "{stats:?}");
+        // Every class — the split-off child included — must now match a
+        // fresh decomposition of the current solver parameters.
+        assert_bit_equal(
+            &cached,
+            &s.distribution(),
+            &data,
+            &format!("{threads} threads"),
+        );
+    }
 }
 
 #[test]
@@ -255,14 +204,10 @@ fn incremental_refresh_bit_identical_across_pool_sizes() {
     let feedback = twod_feedback(&data);
 
     let run = |threads: usize| {
-        let pool = Arc::new(if threads == 1 {
-            ThreadPool::serial()
-        } else {
-            ThreadPool::new(threads)
-        });
         let (mut st, _) =
-            SolverState::cold_with(&data, margins.clone(), &tight(), pool.clone()).unwrap();
+            SolverState::cold_with(&data, margins.clone(), &tight(), pool_of(threads)).unwrap();
         st.refit(feedback.clone(), &tight()).unwrap();
+        assert_cache_is_fresh(&st, &data, &format!("{threads} threads"));
         let stats = st.last_refresh();
         let y = st.background().whiten(&data).unwrap();
         let s = st.background().sample(&mut Rng::seed_from_u64(9));
@@ -271,8 +216,8 @@ fn incremental_refresh_bit_identical_across_pool_sizes() {
 
     let (stats1, y1, s1) = run(1);
     assert!(
-        stats1.eigen_rank_updated > 0,
-        "scenario must drive the incremental path: {stats1:?}"
+        stats1.eigen_recomputed > 0,
+        "scenario must drive a warm re-decomposition: {stats1:?}"
     );
     for threads in [2usize, 4] {
         let (stats, y, s) = run(threads);
@@ -284,36 +229,49 @@ fn incremental_refresh_bit_identical_across_pool_sizes() {
 
 #[test]
 fn repeated_incremental_rounds_stay_consistent() {
-    // Several feedback rounds in sequence: whichever mix of incremental
-    // updates and fallbacks each round takes, the cached background must
-    // always equal a fresh decomposition of the current solver state.
-    let data = gen_data(57, 60, 16);
-    let (mut st, _) =
-        SolverState::cold(&data, margin_constraints(&data).unwrap(), &tight()).unwrap();
-    let (n, d) = data.shape();
-    let mut total_rank1 = 0;
-    for round in 0..4 {
-        let lo = (round * n / 5) % n;
-        let hi = (lo + n / 4).min(n);
-        let rows = RowSet::from_indices(&(lo..hi).collect::<Vec<_>>());
-        let mut a1 = vec![0.0; d];
-        a1[(2 * round) % d] = 1.0;
-        let mut a2 = vec![0.0; d];
-        a2[(2 * round + 1) % d] = 1.0;
-        let cs = twod_constraints(&data, rows, &a1, &a2, format!("r{round}")).unwrap();
-        st.refit(cs, &tight()).unwrap();
-        total_rank1 += st.last_refresh().rank1_directions_applied;
-        let rebuilt = st.solver().distribution();
-        let y = st.background().whiten(&data).unwrap();
-        let y_jac = rebuilt.whiten(&data).unwrap();
-        assert!(
-            y.max_abs_diff(&y_jac) < 1e-7,
-            "round {round}: cached background drifted by {}",
-            y.max_abs_diff(&y_jac)
-        );
+    // Mixed twod and cluster rounds in sequence, at a dimension below,
+    // at and above the divide-and-conquer dispatch threshold: whatever
+    // each round re-decomposes, swaps or clones, the cached background
+    // must always equal a fresh decomposition of the current solver
+    // state — at every pool size. Cluster rounds over fewer rows than
+    // dimensions never converge (their collapsed directions chase
+    // `lambda_max`), so a sweep budget bounds each fit; a truncated fit
+    // is resumed by the next round, which the cache must also track.
+    let budget = FitOpts::with_tolerance(1e-8, 50);
+    for d in [5usize, 16, 40] {
+        let data = gen_data(57 + d as u64, 60, d);
+        let n = data.rows();
+        for threads in [1usize, 2, 4] {
+            let (mut st, _) = SolverState::cold_with(
+                &data,
+                margin_constraints(&data).unwrap(),
+                &budget,
+                pool_of(threads),
+            )
+            .unwrap();
+            let mut recomputed = 0;
+            for round in 0..6 {
+                let lo = (round * n / 5) % n;
+                let hi = (lo + n / 4).min(n);
+                let rows = RowSet::from_indices(&(lo..hi).collect::<Vec<_>>());
+                let cs = if round % 3 == 2 {
+                    cluster_constraints(&data, rows, format!("c{round}")).unwrap()
+                } else {
+                    let mut a1 = vec![0.0; d];
+                    a1[(2 * round) % d] = 1.0;
+                    let mut a2 = vec![0.0; d];
+                    a2[(2 * round + 1) % d] = 1.0;
+                    twod_constraints(&data, rows, &a1, &a2, format!("r{round}")).unwrap()
+                };
+                st.refit(cs, &budget).unwrap();
+                recomputed += st.last_refresh().eigen_recomputed;
+                assert_cache_is_fresh(
+                    &st,
+                    &data,
+                    &format!("d={d} threads={threads} round {round}"),
+                );
+            }
+            assert!(recomputed > 0, "d={d}: no round moved a covariance");
+        }
     }
-    assert!(
-        total_rank1 > 0,
-        "at least one round must exercise the incremental path"
-    );
 }

@@ -38,6 +38,7 @@ use sider_core::wire;
 use sider_core::{CoreError, EdaSession};
 use sider_json::Json;
 use sider_maxent::MaxEntError;
+use sider_projection::ProjectionError;
 use sider_store::ops::{self, Applied, OpError, OpKind};
 
 /// An API-level failure: status code + message for the JSON error body.
@@ -52,6 +53,18 @@ impl From<CoreError> for ApiError {
             // A diverged fit is the session's state, not a server fault:
             // the client undoes knowledge and updates again.
             CoreError::MaxEnt(MaxEntError::NonFiniteFit) => 409,
+            // So is whitened data with too few directions left for ICA
+            // (duplicate rows, a single row): the background already
+            // explains the rest.
+            CoreError::Projection(ProjectionError::RankDeficient { .. }) => {
+                return ApiError(
+                    409,
+                    format!(
+                        "{e}: the whitened data has too few directions left for \
+                         ICA (the background already explains the rest); use a PCA view"
+                    ),
+                );
+            }
             CoreError::MaxEnt(_) | CoreError::Projection(_) => 500,
         };
         ApiError(status, e.to_string())
@@ -723,6 +736,46 @@ mod tests {
         assert_eq!(call("POST", "/api/sessions/s1/view", "{}").status, 200);
     }
 
+    /// Rank-deficient whitened data — ten identical rows, or one row —
+    /// leaves FastICA no direction to find after a margin update. `view`
+    /// and `view.svg` with `"method":"ica"` answer a typed 409, and the
+    /// failed request leaves no trace: the next PCA view is byte-equal to
+    /// a twin session's that never asked for ICA.
+    #[test]
+    fn ica_on_rank_deficient_data_answers_409() {
+        let dup = format!("a,b\n{}", "1,2\n".repeat(10));
+        for csv in [dup.as_str(), "a,b\n1,2\n"] {
+            let m = manager();
+            let call =
+                |method: &str, path: &str, body: &str| handle(&m, &request(method, path, body));
+            let create = Json::obj([
+                ("name", Json::from("dup")),
+                ("csv", Json::from(csv)),
+                ("seed", Json::from(1u64)),
+            ])
+            .dump();
+            for id in ["s1", "s2"] {
+                assert_eq!(call("POST", "/api/sessions", &create).status, 201);
+                let knowledge = format!("/api/sessions/{id}/knowledge");
+                assert_eq!(call("POST", &knowledge, r#"{"kind":"margin"}"#).status, 200);
+                assert_eq!(
+                    call("POST", &format!("/api/sessions/{id}/update"), "{}").status,
+                    200
+                );
+            }
+            for path in ["/api/sessions/s1/view", "/api/sessions/s1/view.svg"] {
+                let resp = call("POST", path, r#"{"method":"ica"}"#);
+                assert_eq!(resp.status, 409, "{csv:?} {path}");
+                let err = json(&resp).require_str("error").unwrap().to_string();
+                assert!(err.contains("rank 0"), "{err}");
+            }
+            let after = call("POST", "/api/sessions/s1/view", "{}");
+            let twin = call("POST", "/api/sessions/s2/view", "{}");
+            assert_eq!(after.status, 200);
+            assert_eq!(after.body, twin.body, "{csv:?}: the 409 moved the session");
+        }
+    }
+
     #[test]
     fn full_loop_over_dispatch() {
         let m = manager();
@@ -746,15 +799,14 @@ mod tests {
         let body = json(&resp);
         assert_eq!(body.get("converged"), None); // nested under "report"
         assert_eq!(body.path("report.converged").unwrap().as_bool(), Some(true));
-        assert!(body.require_num("refresh.classes_total").unwrap() >= 1.0);
-        // The incremental-spectral-maintenance counters are part of the
-        // update response (a cold first fit reports 0 on the fast path).
-        assert!(body.require_num("refresh.eigen_rank_updated").unwrap() >= 0.0);
-        assert!(
-            body.require_num("refresh.rank1_directions_applied")
-                .unwrap()
-                >= 0.0
-        );
+        // Margins over every row form one class; the cold first fit
+        // decomposes it and has nothing to swap or clone.
+        let refresh = body.get("refresh").unwrap();
+        assert_eq!(refresh.as_obj().unwrap().len(), 4, "{}", refresh.dump());
+        assert_eq!(refresh.require_num("classes_total").unwrap(), 1.0);
+        assert_eq!(refresh.require_num("eigen_recomputed").unwrap(), 1.0);
+        assert_eq!(refresh.require_num("mean_updated").unwrap(), 0.0);
+        assert_eq!(refresh.require_num("cloned_from_parent").unwrap(), 0.0);
         assert_eq!(body.get("dirty").unwrap().as_bool(), Some(false));
 
         let resp = handle(&m, &request("POST", "/api/sessions/s1/view", "{}"));
