@@ -428,12 +428,55 @@ mod tests {
         let out = diag_plus_rank1_in_basis(&d, &mut z, 1.0, &mut v).unwrap();
         assert!(out.is_none());
         assert_eq!(v, Matrix::identity(3));
-        // ρ = 0 is an exact no-op for any z.
-        let mut z = [0.4, -0.7, 0.2];
-        let out = diag_plus_rank1_in_basis(&d, &mut z, 0.0, &mut v).unwrap();
-        assert!(out.is_none());
-        assert_eq!(v, Matrix::identity(3));
+    }
 
+    /// An orthonormal, non-identity 3×3 basis (two Givens rotations).
+    fn rotated_basis() -> Matrix {
+        let (c1, s1) = (0.6, 0.8);
+        let (c2, s2) = (0.28, 0.96);
+        let r1 = Matrix::from_rows(&[vec![c1, -s1, 0.0], vec![s1, c1, 0.0], vec![0.0, 0.0, 1.0]]);
+        let r2 = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, c2, -s2], vec![0.0, s2, c2]]);
+        r1.matmul(&r2)
+    }
+
+    #[test]
+    fn near_zero_rho_deflates_to_noop_and_zero_is_exact_noop() {
+        let d = [1.0, 2.0, 3.0];
+        let base = rotated_basis();
+
+        // ρ = 0 is an exact no-op for any z, in any basis.
+        let mut z = [0.4, -0.7, 0.2];
+        let mut v = base.clone();
+        assert!(diag_plus_rank1_in_basis(&d, &mut z, 0.0, &mut v)
+            .unwrap()
+            .is_none());
+        assert_eq!(v.as_slice(), base.as_slice());
+
+        // A zero direction deflates everything: exact no-op.
+        let mut z = [0.0; 3];
+        let mut v = base.clone();
+        assert!(diag_plus_rank1_in_basis(&d, &mut z, 3.0, &mut v)
+            .unwrap()
+            .is_none());
+        assert_eq!(v.as_slice(), base.as_slice());
+
+        // A tiny ρ is a tiny perturbation: the result still represents
+        // V·(D + ρzzᵀ)·Vᵀ with an orthonormal basis.
+        let z0 = [0.4, -0.7, 0.2];
+        let mut z = z0;
+        let mut v = base.clone();
+        let vals = diag_plus_rank1_in_basis(&d, &mut z, 1e-13, &mut v)
+            .unwrap()
+            .unwrap();
+        let target = base
+            .matmul(&explicit(&d, &z0, 1e-13))
+            .matmul(&base.transpose());
+        assert!(reconstruct(&vals, &v).max_abs_diff(&target) < 1e-12);
+        assert!(v.gram().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+    }
+
+    #[test]
+    fn update_orthogonal_to_eigenvector_leaves_pair_untouched() {
         // A single deflated component next to distinct poles — an exact
         // zero, or one below `Z_DEFLATE_REL·‖z‖` — leaves its eigenpair
         // (3, e₂) untouched bit for bit while the others move.
@@ -471,6 +514,25 @@ mod tests {
         assert!((vals[2] - 3.0).abs() < 1e-12);
         // Basis stays orthonormal through the Givens rotations.
         assert!(v.gram().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+    }
+
+    #[test]
+    fn partially_repeated_eigenvalues_deflate_by_rotation() {
+        // Fully degenerate D = I₇: exactly one eigenvalue moves, to
+        // 1 + ρ‖z‖², and the rest stay at 1.
+        let z0: Vec<f64> = (0..7).map(|i| 0.3 + 0.1 * i as f64).collect();
+        let norm2: f64 = z0.iter().map(|x| x * x).sum();
+        let mut z = z0.clone();
+        let mut v = Matrix::identity(7);
+        let vals = diag_plus_rank1_in_basis(&[1.0; 7], &mut z, 2.0, &mut v)
+            .unwrap()
+            .unwrap();
+        assert!((vals[6] - (1.0 + 2.0 * norm2)).abs() < 1e-12 * (1.0 + 2.0 * norm2));
+        for &x in &vals[..6] {
+            assert!((x - 1.0).abs() < 1e-12, "degenerate eigenvalue moved: {x}");
+        }
+        assert!(reconstruct(&vals, &v).max_abs_diff(&explicit(&[1.0; 7], &z0, 2.0)) < 1e-10);
+        assert!(v.gram().max_abs_diff(&Matrix::identity(7)) < 1e-12);
 
         // Partially repeated spectrum diag(2, 2, 2, 5, 5, 9): each plateau
         // collapses onto one representative, the rest solve as usual.
