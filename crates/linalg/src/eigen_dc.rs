@@ -15,10 +15,9 @@
 //! clustered spectra cheaper still.
 //!
 //! [`SymEigen::decompose`] is the policy entry point every call site in
-//! the workspace routes through: Jacobi below
-//! [`DecomposeOpts::dc_threshold`] (and as the fallback), D&C above it,
-//! accepted only if the [`SymEigen::orthogonality_drift`] probe stays
-//! within [`DecomposeOpts::drift_tol`].
+//! the workspace routes through: Jacobi below `DC_THRESHOLD` (and as
+//! the fallback), D&C above it, accepted only if the
+//! [`SymEigen::orthogonality_drift`] probe stays within `DRIFT_TOL`.
 
 use crate::eigen::{sym_eigen, SymEigen};
 use crate::matrix::Matrix;
@@ -29,52 +28,40 @@ use crate::Result;
 /// below ~24 the O(n²) merge bookkeeping costs as much as the sweeps.
 const DC_LEAF: usize = 24;
 
-/// Policy knobs for [`SymEigen::decompose_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct DecomposeOpts {
-    /// Matrices smaller than this go straight to Jacobi — at small `d`
-    /// the tridiagonalization + merge overhead dominates and Jacobi's
-    /// robustness is free.
-    pub dc_threshold: usize,
-    /// Accept the D&C result only while `orthogonality_drift()` stays
-    /// within this bound; beyond it (or on any D&C error) the dispatch
-    /// falls back to Jacobi. Setting it below zero forces the fallback —
-    /// the failure-injection point used by the property tests.
-    pub drift_tol: f64,
-}
+/// Matrices smaller than this go straight to Jacobi — at small `d` the
+/// tridiagonalization + merge overhead dominates and Jacobi's robustness
+/// is free.
+const DC_THRESHOLD: usize = 32;
 
-impl Default for DecomposeOpts {
-    fn default() -> Self {
-        DecomposeOpts {
-            dc_threshold: 32,
-            drift_tol: 1e-8,
-        }
-    }
-}
+/// The D&C result is accepted only while `orthogonality_drift()` stays
+/// within this bound; beyond it (or on any D&C error) the dispatch falls
+/// back to Jacobi.
+const DRIFT_TOL: f64 = 1e-8;
 
 impl SymEigen {
-    /// Symmetric eigendecomposition with the default dispatch policy:
-    /// divide-and-conquer above `d = 32` with a drift-probed Jacobi
-    /// fallback, cyclic Jacobi below. This is the single entry point the
-    /// whole workspace routes through, so threshold and fallback policy
-    /// live in one place.
+    /// Symmetric eigendecomposition with the workspace's one dispatch
+    /// policy: divide-and-conquer from `d = 32` up with a drift-probed
+    /// Jacobi fallback, cyclic Jacobi below. Every call site routes
+    /// through here, so threshold and fallback policy live in one place.
     pub fn decompose(a: &Matrix) -> Result<SymEigen> {
-        Self::decompose_with(a, &DecomposeOpts::default())
+        dispatch(a, DRIFT_TOL)
     }
+}
 
-    /// [`SymEigen::decompose`] with explicit policy knobs.
-    pub fn decompose_with(a: &Matrix, opts: &DecomposeOpts) -> Result<SymEigen> {
-        if a.rows() != a.cols() || a.rows() < opts.dc_threshold {
-            // Malformed inputs also take this arm so error reporting is
-            // identical to the historical Jacobi path.
-            return sym_eigen(a);
-        }
-        match sym_eigen_dc(a) {
-            Ok(e) if e.orthogonality_drift() <= opts.drift_tol => Ok(e),
-            // Drift out of bounds or a secular solve that failed to
-            // bracket: Jacobi is the verification/fallback rung.
-            _ => sym_eigen(a),
-        }
+/// The dispatch behind [`SymEigen::decompose`], with the drift tolerance
+/// as a parameter so tests can force the fallback (any negative `drift_tol`
+/// rejects every D&C result).
+fn dispatch(a: &Matrix, drift_tol: f64) -> Result<SymEigen> {
+    if a.rows() != a.cols() || a.rows() < DC_THRESHOLD {
+        // Malformed inputs also take this arm so error reporting is
+        // identical to the historical Jacobi path.
+        return sym_eigen(a);
+    }
+    match sym_eigen_dc(a) {
+        Ok(e) if e.orthogonality_drift() <= drift_tol => Ok(e),
+        // Drift out of bounds or a secular solve that failed to
+        // bracket: Jacobi is the verification/fallback rung.
+        _ => sym_eigen(a),
     }
 }
 
@@ -227,7 +214,7 @@ mod tests {
         assert!(vals.windows(2).all(|w| w[0] <= w[1]));
         // Clustered spectra are the worst case for secular-root
         // orthogonality (no Gu–Eisenstat correction here); the drift
-        // probe in `decompose_with` gates acceptance at 1e-8.
+        // probe in `dispatch` gates acceptance at `DRIFT_TOL`.
         assert!(q.gram().max_abs_diff(&Matrix::identity(n)) < 1e-8);
     }
 
@@ -246,11 +233,8 @@ mod tests {
     #[test]
     fn forced_fallback_is_jacobi_bitwise() {
         let a = lcg_spd(40, 9);
-        let opts = DecomposeOpts {
-            drift_tol: -1.0, // no D&C result can pass: always fall back
-            ..DecomposeOpts::default()
-        };
-        let via_dispatch = SymEigen::decompose_with(&a, &opts).unwrap();
+        // No D&C result can pass a negative tolerance: always fall back.
+        let via_dispatch = dispatch(&a, -1.0).unwrap();
         let via_jacobi = sym_eigen(&a).unwrap();
         assert_eq!(via_dispatch.values, via_jacobi.values);
         assert_eq!(

@@ -135,11 +135,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the raw row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -346,16 +341,6 @@ impl Matrix {
         for (i, o) in out.iter_mut().enumerate() {
             *o = vector::dot(self.row(i), x);
         }
-    }
-
-    /// Transposed matrix–vector product `selfᵀ * x`.
-    pub fn tr_matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "tr_matvec: length mismatch");
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            vector::axpy(x[i], self.row(i), &mut out);
-        }
-        out
     }
 
     /// `selfᵀ * self` (Gram matrix), exploiting symmetry.
@@ -741,7 +726,7 @@ mod tests {
         let x = vec![1.0, -1.0];
         let y = vec![1.0, 0.0, 2.0];
         assert_eq!(m.matvec(&x), vec![-1.0, -1.0, -1.0]);
-        assert_eq!(m.tr_matvec(&y), m.transpose().matvec(&y));
+        assert_eq!(m.transpose().matvec(&y), vec![11.0, 14.0]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Symmetric matrix square roots via eigendecomposition.
+//! Symmetric inverse square root via eigendecomposition.
 //!
-//! The whitening transform of the paper (Eq. 14) is
-//! `y = U·D^{1/2}·Uᵀ·(x − m)` where `Σ⁻¹ = U·D·Uᵀ` — the symmetric
-//! (direction-preserving) square root of the precision matrix.
+//! FastICA's symmetric decorrelation `W ← (W·Wᵀ)^{-1/2}·W` is its one
+//! caller.
 
 use crate::eigen::SymEigen;
 use crate::matrix::Matrix;
@@ -19,21 +18,6 @@ fn clamped(values: &[f64]) -> Vec<f64> {
         .iter()
         .map(|&v| if v < floor { 0.0 } else { v })
         .collect()
-}
-
-/// Symmetric square root `A^{1/2}` of a symmetric PSD matrix
-/// (`A^{1/2}·A^{1/2} = A`). Tiny negative eigenvalues from round-off are
-/// clamped to zero.
-pub fn sym_sqrt(a: &Matrix) -> Result<Matrix> {
-    let e = SymEigen::decompose(a)?;
-    let vals = clamped(&e.values);
-    let n = vals.len();
-    let mut out = Matrix::zeros(n, n);
-    for k in 0..n {
-        let col = e.vectors.col(k);
-        out.add_outer(vals[k].sqrt(), &col, &col);
-    }
-    Ok(out)
 }
 
 /// Symmetric inverse square root `A^{-1/2}` of a symmetric PSD matrix.
@@ -64,19 +48,6 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_squares_back() {
-        let a = spd();
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.matmul(&s).max_abs_diff(&a) < 1e-12);
-    }
-
-    #[test]
-    fn sqrt_is_symmetric() {
-        let s = sym_sqrt(&spd()).unwrap();
-        assert!(s.is_symmetric(1e-12));
-    }
-
-    #[test]
     fn inv_sqrt_inverts() {
         let a = spd();
         let is = sym_inv_sqrt(&a).unwrap();
@@ -87,16 +58,12 @@ mod tests {
     #[test]
     fn identity_is_fixed_point() {
         let i = Matrix::identity(3);
-        assert!(sym_sqrt(&i).unwrap().max_abs_diff(&i) < 1e-14);
         assert!(sym_inv_sqrt(&i).unwrap().max_abs_diff(&i) < 1e-14);
     }
 
     #[test]
     fn diagonal_roots() {
         let a = Matrix::from_diag(&[9.0, 16.0]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!((s[(0, 0)] - 3.0).abs() < 1e-12);
-        assert!((s[(1, 1)] - 4.0).abs() < 1e-12);
         let is = sym_inv_sqrt(&a).unwrap();
         assert!((is[(0, 0)] - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -105,8 +72,6 @@ mod tests {
     fn semidefinite_direction_maps_to_zero() {
         // Rank-1 PSD matrix: eigenvalues {2, 0}.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.matmul(&s).max_abs_diff(&a) < 1e-12);
         let is = sym_inv_sqrt(&a).unwrap();
         // A^{-1/2} A A^{-1/2} should be the projector onto the range of A.
         let proj = is.matmul(&a).matmul(&is);
@@ -118,7 +83,7 @@ mod tests {
     fn tiny_negative_eigenvalues_clamped() {
         // Symmetric matrix that is PSD up to round-off.
         let a = Matrix::from_rows(&[vec![1.0, 1.0 - 1e-16], vec![1.0 - 1e-16, 1.0]]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.is_finite());
+        let is = sym_inv_sqrt(&a).unwrap();
+        assert!(is.is_finite());
     }
 }

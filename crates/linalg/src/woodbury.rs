@@ -28,16 +28,6 @@ pub fn prepare(sigma: &Matrix, w: &[f64]) -> Rank1 {
     Rank1 { g, c }
 }
 
-/// Smallest admissible `λ` keeping `1 + λc > 0` (with a safety margin), i.e.
-/// keeping the updated precision positive definite along `w`.
-pub fn lambda_lower_bound(c: f64) -> f64 {
-    if c <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        -1.0 / c * (1.0 - 1e-9)
-    }
-}
-
 /// Apply the Sherman–Morrison update in place:
 /// `Σ ← Σ − λ·g·gᵀ/(1 + λc)` where `g, c` come from [`prepare`].
 ///
@@ -107,8 +97,9 @@ mod tests {
         let sigma = lu::inverse(&p).unwrap();
         let w = vec![1.0, 0.0, 0.0];
         let r = prepare(&sigma, &w);
-        let lo = lambda_lower_bound(r.c);
-        let lambda = lo * 0.5; // safely inside the admissible range
+        // `1 + λc > 0` keeps the updated precision positive definite along
+        // `w`; half the bound `-1/c` is safely inside the admissible range.
+        let lambda = -0.5 / r.c;
         let wb = updated(&sigma, &w, lambda);
         let mut p2 = p.clone();
         precision_update(&mut p2, &w, lambda);
@@ -129,13 +120,6 @@ mod tests {
         let w = vec![1.0, 2.0, -1.0];
         let r = prepare(&sigma, &w);
         assert!((r.c - sigma.quad_form(&w)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lower_bound_semantics() {
-        assert_eq!(lambda_lower_bound(0.0), f64::NEG_INFINITY);
-        let lb = lambda_lower_bound(2.0);
-        assert!(lb > -0.5 && lb < -0.49);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the divide-and-conquer eigensolver
 //! (`sider_linalg::eigen_dc`) and its Householder tridiagonalization
 //! front end: agreement with the Jacobi reference on random SPD,
-//! clustered/degenerate and wide-spread spectra, plus the forced-fallback
-//! contract of the `SymEigen::decompose` dispatch.
+//! clustered/degenerate and wide-spread spectra, plus the below-threshold
+//! contract of the `SymEigen::decompose` dispatch (the forced-fallback
+//! contract is a unit test beside the private dispatch).
 
-use sider_linalg::{sym_eigen, sym_eigen_dc, tridiagonalize, DecomposeOpts, Matrix, SymEigen};
+use sider_linalg::{sym_eigen, sym_eigen_dc, tridiagonalize, Matrix, SymEigen};
 
 /// Deterministic pseudo-random stream (same LCG idiom as the in-crate
 /// eigen tests — the linalg crate must not depend on sider_stats).
@@ -139,23 +140,6 @@ fn wide_spread_spectra_reconstruct_within_bounds() {
             );
         }
     }
-}
-
-#[test]
-fn forced_fallback_is_jacobi_bit_for_bit() {
-    // A negative drift tolerance rejects every D&C result at the dispatch
-    // — the documented failure-injection point — so decompose_with must
-    // return exactly what the Jacobi reference produces.
-    let mut rng = Lcg(0x0f01);
-    let a = rng.spd(45);
-    let opts = DecomposeOpts {
-        drift_tol: -1.0,
-        ..DecomposeOpts::default()
-    };
-    let fallback = SymEigen::decompose_with(&a, &opts).unwrap();
-    let jacobi = sym_eigen(&a).unwrap();
-    assert_eq!(fallback.values, jacobi.values);
-    assert_eq!(fallback.vectors.as_slice(), jacobi.vectors.as_slice());
 }
 
 #[test]

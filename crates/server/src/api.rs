@@ -36,6 +36,7 @@ use crate::http::{Request, Response};
 use crate::manager::{CreateError, SessionManager, Slot};
 use sider_core::wire;
 use sider_core::{CoreError, EdaSession};
+use sider_data::Dataset;
 use sider_json::Json;
 use sider_maxent::MaxEntError;
 use sider_projection::ProjectionError;
@@ -553,6 +554,7 @@ fn create_session(manager: &SessionManager, req: &Request) -> ApiResult {
     // Parsed through the same `sider_store::ops` code replay uses, so a
     // recovered create is bit-for-bit the create that was served.
     let dataset = ops::resolve_dataset(&body).map_err(bad_request)?;
+    check_sums_of_squares(&dataset)?;
     let seed = ops::parse_seed(&body).map_err(bad_request)?;
     let slot = manager
         .create_logged(dataset, seed, &body)
@@ -563,6 +565,28 @@ fn create_session(manager: &SessionManager, req: &Request) -> ApiResult {
         })?;
     let session = slot.lock()?;
     Ok(Response::json(201, &session_summary(&session, &slot)))
+}
+
+/// Refuse data whose per-column sum of squares overflows (any entry above
+/// about 1.3e154 in magnitude): the background's second moments would be
+/// infinite and every later read of the session would fail. Checked on the
+/// create request only, before the session is built — replay resolves
+/// creates without it, so a create already in a log still recovers.
+fn check_sums_of_squares(dataset: &Dataset) -> Result<(), ApiError> {
+    let m = &dataset.matrix;
+    let mut sums = vec![0.0_f64; m.cols()];
+    for i in 0..m.rows() {
+        for (s, x) in sums.iter_mut().zip(m.row(i)) {
+            *s += x * x;
+        }
+    }
+    match sums.iter().position(|s| !s.is_finite()) {
+        Some(j) => Err(bad_request(format!(
+            "column '{}': its sum of squares is not finite; rescale the data",
+            dataset.column_names[j]
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn session_detail(session: &mut EdaSession, slot: &Slot) -> ApiResult {
@@ -773,6 +797,48 @@ mod tests {
             let twin = call("POST", "/api/sessions/s2/view", "{}");
             assert_eq!(after.status, 200);
             assert_eq!(after.body, twin.body, "{csv:?}: the 409 moved the session");
+        }
+    }
+
+    /// Finite entries whose squares overflow (`6e200`) would make every
+    /// read of the session answer 500, so create refuses them with a 400
+    /// naming the column; data at the `1e±150` scale still works end to end.
+    #[test]
+    fn csv_whose_squares_overflow_is_rejected_at_create() {
+        let m = manager();
+        let call = |method: &str, path: &str, body: &str| handle(&m, &request(method, path, body));
+        let create = |header: &str, row: &dyn Fn(usize) -> String| {
+            let rows: String = (0..20).map(|i| row(i) + "\n").collect();
+            Json::obj([
+                ("name", Json::from("x")),
+                ("csv", Json::from(format!("{header}\n{rows}"))),
+                ("seed", Json::from(1u64)),
+            ])
+            .dump()
+        };
+
+        let overflow = create("a,b", &|i| format!("{}e200,{i}", i % 7));
+        let resp = call("POST", "/api/sessions", &overflow);
+        assert_eq!(resp.status, 400);
+        let err = json(&resp).require_str("error").unwrap().to_string();
+        assert!(
+            err.contains("'a'") && err.contains("its sum of squares is not finite"),
+            "{err}"
+        );
+
+        // The refused create built no session and burned no ID.
+        let scaled = create("a,b,c", &|i| {
+            format!("{}e150,{}e-150,{i}", i % 7, i % 3 + 1)
+        });
+        assert_eq!(call("POST", "/api/sessions", &scaled).status, 201);
+        for (path, body) in [
+            ("/api/sessions/s1/view", "{}"),
+            ("/api/sessions/s1/view", r#"{"method":"ica"}"#),
+            ("/api/sessions/s1/view.svg", "{}"),
+            ("/api/sessions/s1/suggest", "{}"),
+        ] {
+            let resp = call("POST", path, body);
+            assert_eq!(resp.status, 200, "{path} {body}");
         }
     }
 

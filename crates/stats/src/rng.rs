@@ -6,7 +6,7 @@
 //! reproducible bit-for-bit across platforms and crate-version bumps, and
 //! (b) the library has zero runtime dependencies.
 
-use sider_linalg::{Cholesky, Matrix};
+use sider_linalg::Matrix;
 
 /// xoshiro256++ pseudo-random number generator.
 #[derive(Debug, Clone)]
@@ -67,12 +67,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)` (Lemire-style rejection-free for our
     /// non-cryptographic needs: simple modulo with 64→128 multiply).
     #[inline]
@@ -124,16 +118,6 @@ impl Rng {
     /// Vector of iid standard normals.
     pub fn standard_normal_vec(&mut self, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.standard_normal()).collect()
-    }
-
-    /// Sample `N(mean, Σ)` given a pre-computed Cholesky factor of `Σ`.
-    pub fn multivariate_normal(&mut self, mean: &[f64], chol: &Cholesky) -> Vec<f64> {
-        let z = self.standard_normal_vec(mean.len());
-        let mut x = chol.l_times(&z);
-        for (xi, mi) in x.iter_mut().zip(mean) {
-            *xi += mi;
-        }
-        x
     }
 
     /// `n × d` matrix of iid standard normals.
@@ -265,29 +249,6 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| r.normal(3.0, 0.5)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn multivariate_normal_covariance_recovered() {
-        let cov = Matrix::from_rows(&[vec![2.0, 0.8], vec![0.8, 1.0]]);
-        let chol = Cholesky::new(&cov).unwrap();
-        let mean = [1.0, -1.0];
-        let mut r = Rng::seed_from_u64(13);
-        let n = 100_000;
-        let mut sum = [0.0; 2];
-        let mut sum_xy = 0.0;
-        let mut sum_xx = 0.0;
-        for _ in 0..n {
-            let x = r.multivariate_normal(&mean, &chol);
-            sum[0] += x[0];
-            sum[1] += x[1];
-            sum_xx += (x[0] - 1.0) * (x[0] - 1.0);
-            sum_xy += (x[0] - 1.0) * (x[1] + 1.0);
-        }
-        assert!((sum[0] / n as f64 - 1.0).abs() < 0.02);
-        assert!((sum[1] / n as f64 + 1.0).abs() < 0.02);
-        assert!((sum_xx / n as f64 - 2.0).abs() < 0.05);
-        assert!((sum_xy / n as f64 - 0.8).abs() < 0.05);
     }
 
     #[test]
