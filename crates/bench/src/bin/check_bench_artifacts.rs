@@ -1,10 +1,9 @@
 //! Schema sanity check for the persisted benchmark artifacts.
 //!
-//! CI runs the `pipeline`, `scaling` and `serve` benches in smoke mode
-//! and then this binary, which fails (exit code 1) when
-//! `BENCH_pipeline.json`, `BENCH_scaling.json` or `BENCH_serve.json` is
-//! missing, unparsable, or missing the fields the perf trajectory across
-//! PRs relies on. It deliberately does **not**
+//! CI runs the `pipeline` and `scaling` benches in smoke mode and then
+//! this binary, which fails (exit code 1) when `BENCH_pipeline.json` or
+//! `BENCH_scaling.json` is missing, unparsable, or missing the fields the
+//! perf trajectory across PRs relies on. It deliberately does **not**
 //! gate on cross-machine speedup values: CI machines (and 1-CPU
 //! containers) make absolute timing thresholds meaningless — the guarded
 //! invariants are artifact shape, the recorded
@@ -14,15 +13,6 @@
 //! dispatch vs raw Jacobi on the same class precision) must be ≥ 1.0
 //! wherever `d ≥ 32` — the dispatch threshold above which D&C carries
 //! cold decompositions.
-//!
-//! For `BENCH_serve.json` the SLO-style gates are likewise
-//! machine-independent: both a `stripes == 1` baseline run and a striped
-//! run must be present, plus a striped `churn` scenario run (short-lived
-//! aborted/empty connections injected alongside every request, with
-//! `churn_conns >= 1` proving churn actually happened); every run must
-//! have served its whole workload with zero errors, and each exercised
-//! endpoint's percentiles must be monotone (`p50 ≤ p99 ≤ p999`) with
-//! positive throughput.
 //!
 //! Every failure message names the offending file and the full JSON path
 //! (e.g. `BENCH_scaling.json: scenarios[2].runs[1].sample_ns`), so a
@@ -167,210 +157,6 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn check_serve(doc: &Json) -> Result<(), String> {
-    if doc.get("bench").and_then(Json::as_str) != Some("serve") {
-        return Err("JSON path 'bench' is not the string 'serve'".into());
-    }
-    for key in [
-        "workload.sessions",
-        "workload.requests",
-        "workload.rps",
-        "workload.workers",
-    ] {
-        if require_num_at(doc, "", key)? < 1.0 {
-            return Err(format!("JSON path '{key}' must be >= 1"));
-        }
-    }
-    require_num_at(doc, "", "workload.seed")?;
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'runs' array")?;
-    if runs.is_empty() {
-        return Err("JSON path 'runs' is an empty array".into());
-    }
-    // The artifact's whole point is the striped-vs-unstriped comparison:
-    // both the stripes=1 baseline and a striped run must be present —
-    // and, since the event-driven accept loop, a striped `churn` run
-    // (short-lived aborted/empty connections alongside every request)
-    // served with zero errors. Since WAL shipping, also a `replication`
-    // run: the same workload against a leader streaming to a live
-    // follower, which must end caught up (zero lag). Since guided
-    // exploration, also a `suggest` run: part of the mixed phase is
-    // recommendation traffic, and the row embeds an in-process scoring
-    // block over a full 64-candidate batch.
-    let mut saw_unstriped = false;
-    let mut saw_striped = false;
-    let mut saw_churn = false;
-    let mut saw_replication = false;
-    let mut saw_suggest = false;
-    for (i, run) in runs.iter().enumerate() {
-        let at = format!("runs[{i}]");
-        let stripes = require_num_at(run, &at, "stripes")?;
-        if stripes < 1.0 {
-            return Err(format!("JSON path '{at}.stripes' must be >= 1"));
-        }
-        saw_unstriped |= stripes == 1.0;
-        saw_striped |= stripes > 1.0;
-        let scenario = run.get("scenario").and_then(Json::as_str);
-        let churn = scenario == Some("churn");
-        if require_num_at(run, &at, "threads_per_stripe")? < 1.0 {
-            return Err(format!("JSON path '{at}.threads_per_stripe' must be >= 1"));
-        }
-        if scenario == Some("replication") {
-            saw_replication = true;
-            // The leader's latency rows are gated below like every other
-            // run; the replication-specific claim is the follower's: it
-            // caught up to everything the leader shipped, per stripe.
-            let f = format!("{at}.follower");
-            if run.path("follower.caught_up").and_then(Json::as_bool) != Some(true) {
-                return Err(format!("JSON path '{f}.caught_up' must be true"));
-            }
-            if require_num_at(run, &at, "follower.final_lag")? != 0.0 {
-                return Err(format!(
-                    "JSON path '{f}.final_lag' is nonzero — the follower never caught up"
-                ));
-            }
-            require_num_at(run, &at, "follower.catchup_wall_s")?;
-            for key in ["shipped", "applied"] {
-                let seqs = run
-                    .path(&format!("follower.{key}"))
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("missing '{f}.{key}' array"))?;
-                if seqs.is_empty() {
-                    return Err(format!("JSON path '{f}.{key}' is an empty array"));
-                }
-                if seqs.iter().all(|s| s.as_num() == Some(0.0)) {
-                    return Err(format!(
-                        "JSON path '{f}.{key}' is all zeros — nothing was replicated"
-                    ));
-                }
-            }
-        }
-        if scenario == Some("suggest") {
-            saw_suggest = true;
-            // The run must carry real recommendation traffic (gated via
-            // the endpoint stats below) and an in-process scoring block
-            // over a full batch. Speedup is gated only as positive —
-            // pool 4 beats pool 1 on multi-core hosts, but a 1-CPU CI
-            // container legitimately reports ~1.
-            if require_num_at(run, &at, "suggest.share")? <= 0.0 {
-                return Err(format!("JSON path '{at}.suggest.share' must be > 0"));
-            }
-            let scoring = format!("{at}.scoring");
-            if require_num_at(run, &at, "scoring.batch")? < 64.0 {
-                return Err(format!("JSON path '{scoring}.batch' must be >= 64"));
-            }
-            for key in ["scoring.pool1_ns", "scoring.pool4_ns"] {
-                if require_num_at(run, &at, key)? < 1.0 {
-                    return Err(format!(
-                        "JSON path '{at}.{key}' is zero — scoring was not timed"
-                    ));
-                }
-            }
-            if require_num_at(run, &at, "scoring.speedup")? <= 0.0 {
-                return Err(format!("JSON path '{scoring}.speedup' must be > 0"));
-            }
-            let requests = require_num_at(run, &at, "report.endpoints.suggest.requests")?;
-            if requests < 1.0 {
-                return Err(format!(
-                    "JSON path '{at}.report.endpoints.suggest.requests' must be >= 1 in the suggest scenario"
-                ));
-            }
-        }
-        let at = format!("{at}.report");
-        let report = run.get("report").ok_or_else(|| format!("missing '{at}'"))?;
-        if churn {
-            saw_churn = true;
-            if stripes < 2.0 {
-                return Err(format!(
-                    "JSON path '{at}': the churn scenario must run striped (stripes >= 2)"
-                ));
-            }
-            // A churn run that opened no churn connections measured the
-            // plain mixed workload under a misleading label.
-            if require_num_at(report, &at, "churn_conns")? < 1.0 {
-                return Err(format!(
-                    "JSON path '{at}.churn_conns' must be >= 1 in the churn scenario"
-                ));
-            }
-        }
-        for key in ["create_wall_s", "mixed_wall_s"] {
-            require_num_at(report, &at, key)?;
-        }
-        if require_num_at(report, &at, "total_requests")? < 1.0 {
-            return Err(format!("JSON path '{at}.total_requests' must be >= 1"));
-        }
-        // An SLO-style gate that is machine-independent: the workload
-        // must have been served clean. Latency *values* are not gated
-        // (CI hardware varies), but their ordering must be sane.
-        if require_num_at(report, &at, "total_errors")? != 0.0 {
-            return Err(format!(
-                "JSON path '{at}.total_errors' is nonzero — the server dropped requests under load"
-            ));
-        }
-        if require_num_at(report, &at, "throughput_rps")? <= 0.0 {
-            return Err(format!("JSON path '{at}.throughput_rps' must be > 0"));
-        }
-        let endpoints = report
-            .get("endpoints")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| format!("missing '{at}.endpoints' object"))?;
-        if endpoints.is_empty() {
-            return Err(format!("JSON path '{at}.endpoints' is empty"));
-        }
-        for (name, stats) in endpoints {
-            let at = format!("{at}.endpoints.{name}");
-            let requests = require_num_at(stats, &at, "requests")?;
-            require_num_at(stats, &at, "errors")?;
-            let p50 = require_num_at(stats, &at, "p50_ns")?;
-            let p99 = require_num_at(stats, &at, "p99_ns")?;
-            let p999 = require_num_at(stats, &at, "p999_ns")?;
-            let throughput = require_num_at(stats, &at, "throughput_rps")?;
-            if requests < 1.0 {
-                continue; // endpoint unused by this workload mix
-            }
-            if !(p50 <= p99 && p99 <= p999) {
-                return Err(format!(
-                    "JSON path '{at}': percentiles not monotone (p50 {p50} / p99 {p99} / p999 {p999})"
-                ));
-            }
-            if p50 < 1.0 {
-                return Err(format!(
-                    "JSON path '{at}.p50_ns' is zero — latencies were not measured"
-                ));
-            }
-            if throughput <= 0.0 {
-                return Err(format!("JSON path '{at}.throughput_rps' must be > 0"));
-            }
-        }
-    }
-    if !saw_unstriped {
-        return Err("no 'runs' entry with stripes == 1 (the unstriped baseline)".into());
-    }
-    if !saw_striped {
-        return Err("no 'runs' entry with stripes > 1 (the striped configuration)".into());
-    }
-    if !saw_churn {
-        return Err(
-            "no 'runs' entry with scenario == \"churn\" (the connection-churn stress run)".into(),
-        );
-    }
-    if !saw_replication {
-        return Err(
-            "no 'runs' entry with scenario == \"replication\" (leader under active WAL shipping)"
-                .into(),
-        );
-    }
-    if !saw_suggest {
-        return Err(
-            "no 'runs' entry with scenario == \"suggest\" (guided-exploration recommendation load)"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut failed = false;
     for (name, check) in [
@@ -381,10 +167,6 @@ fn main() -> ExitCode {
         (
             "BENCH_scaling.json",
             check_scaling as fn(&Json) -> Result<(), String>,
-        ),
-        (
-            "BENCH_serve.json",
-            check_serve as fn(&Json) -> Result<(), String>,
         ),
     ] {
         match load(name).and_then(|doc| check(&doc)) {

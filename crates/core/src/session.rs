@@ -9,8 +9,8 @@ use sider_maxent::constraint::{
     cluster_constraints, margin_constraints, one_cluster_constraints, twod_constraints,
 };
 use sider_maxent::{
-    BackgroundDistribution, Constraint, ConvergenceReport, FitOpts, RefreshStats, RowSet,
-    SolverState,
+    BackgroundDistribution, Constraint, ConvergenceReport, FitOpts, MaxEntError, RefreshStats,
+    RowSet, SolverState,
 };
 use sider_par::ThreadPool;
 use sider_projection::{
@@ -260,7 +260,10 @@ impl EdaSession {
     }
 
     /// Record the selection's mean/variance along the two axes of the
-    /// current view (4 constraints).
+    /// current view (4 constraints). An axis with (numerically) zero norm,
+    /// or one along which the selection's spread overflows, is a
+    /// [`CoreError::BadSelection`] naming the axis; the session is left
+    /// unchanged.
     pub fn add_twod_constraint(&mut self, rows: &[usize], axes: &Matrix) -> Result<()> {
         if axes.shape().0 != 2 || axes.cols() != self.dataset.d() {
             return Err(CoreError::BadSelection(format!(
@@ -272,7 +275,27 @@ impl EdaSession {
         }
         let rowset = self.selection_rowset(rows)?;
         let tag = format!("view{}", self.knowledge.len());
-        let cs = twod_constraints(self.data(), rowset, axes.row(0), axes.row(1), tag.clone())?;
+        let cs = twod_constraints(self.data(), rowset, axes.row(0), axes.row(1), tag.clone())
+            .map_err(|e| {
+                // Axis 0's pair is built first, so it is at fault iff its pair
+                // alone fails too.
+                let axis = || {
+                    let rows = RowSet::from_indices(rows);
+                    usize::from(
+                        twod_constraints(self.data(), rows, axes.row(0), axes.row(0), "").is_ok(),
+                    )
+                };
+                match e {
+                    MaxEntError::ZeroDirection => {
+                        CoreError::BadSelection(format!("axis {} has zero norm", axis()))
+                    }
+                    MaxEntError::NotFinite => CoreError::BadSelection(format!(
+                        "axis {}: spread along it is not finite; rescale the axes",
+                        axis()
+                    )),
+                    e => CoreError::MaxEnt(e),
+                }
+            })?;
         self.push(
             KnowledgeKind::TwoD,
             tag,

@@ -1,6 +1,6 @@
 //! `sider_loadgen` — a std-only **open-loop** traffic generator for the
-//! SIDER server: the instrument behind `BENCH_serve.json` and the `sider
-//! loadgen` subcommand.
+//! SIDER server: the schedule and HTTP client behind the `sider loadgen`
+//! subcommand and the repository benchmark (`perfbench/`).
 //!
 //! The paper's interactive loop only matters if the system answers at
 //! interactive latency while many analysts explore concurrently, so the
@@ -33,7 +33,7 @@
 //! `suggest` calls).
 //! Per-endpoint latencies are reported as nearest-rank p50/p99/p999 with
 //! throughput and error counts ([`LoadReport`]), serialized via
-//! `sider_json` for the `BENCH_serve.json` artifact.
+//! `sider_json` for the report `sider loadgen` prints.
 
 #![warn(missing_docs)]
 
@@ -47,10 +47,6 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Environment variable that switches `sider loadgen` (and the serve
-/// bench) into a seconds-not-minutes smoke workload.
-pub const SMOKE_ENV_VAR: &str = "SIDER_BENCH_SMOKE";
 
 /// Which API endpoint a scheduled request exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,7 +165,8 @@ impl LoadConfig {
         }
     }
 
-    /// A seconds-not-minutes smoke workload (CI, `SIDER_BENCH_SMOKE=1`).
+    /// A seconds-not-minutes smoke workload (perfbench starts its
+    /// mixed phases from it).
     pub fn smoke(addr: impl Into<String>) -> LoadConfig {
         LoadConfig {
             addr: addr.into(),
@@ -184,21 +181,6 @@ impl LoadConfig {
             fault: None,
         }
     }
-
-    /// `smoke` when [`SMOKE_ENV_VAR`] is set to a truthy value, `full`
-    /// otherwise.
-    pub fn from_env(addr: impl Into<String>) -> LoadConfig {
-        if smoke_mode() {
-            LoadConfig::smoke(addr)
-        } else {
-            LoadConfig::full(addr)
-        }
-    }
-}
-
-/// Whether [`SMOKE_ENV_VAR`] asks for the smoke workload.
-pub fn smoke_mode() -> bool {
-    std::env::var(SMOKE_ENV_VAR).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Precompute the mixed-phase schedule: `config.requests` requests over
@@ -327,7 +309,7 @@ impl EndpointStats {
         }
     }
 
-    /// JSON form for `BENCH_serve.json`.
+    /// JSON form (one `endpoints` entry of [`LoadReport::to_json`]).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("requests", Json::from(self.requests)),
@@ -394,8 +376,8 @@ impl FaultCounters {
 }
 
 impl LoadReport {
-    /// JSON form for `BENCH_serve.json` (endpoint keys sort, like every
-    /// `sider_json` object).
+    /// JSON form of the report `sider loadgen` prints (endpoint keys
+    /// sort, like every `sider_json` object).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("create_wall_s", Json::from(self.create_wall_s)),

@@ -1,5 +1,5 @@
-//! Live smoke tests: the generator drives a real striped server over TCP
-//! (event-driven accept loop, the default). One run enables the
+//! Live smoke tests: the generator drives a real server over TCP (the
+//! event-driven accept loop) at 1 and at 4 stripes. One run enables the
 //! connection-churn scenario, one mixes in a `suggest` share; in both the
 //! report must be clean — every request answered, percentiles monotone,
 //! throughput positive.
@@ -22,12 +22,12 @@ fn base_config(addr: String) -> LoadConfig {
     }
 }
 
-fn with_live_server(test: impl FnOnce(String)) {
+fn with_live_server(stripes: usize, test: impl FnOnce(String)) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_sessions: 32,
         threads: Some(1),
-        stripes: 2,
+        stripes,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -41,67 +41,74 @@ fn with_live_server(test: impl FnOnce(String)) {
 
 #[test]
 fn open_loop_run_against_a_live_striped_server() {
-    with_live_server(|addr| {
-        let mut config = base_config(addr);
-        config.churn = true;
-        let report = run(&config).expect("load run");
+    for stripes in [1, 4] {
+        with_live_server(stripes, |addr| {
+            let mut config = base_config(addr);
+            config.churn = true;
+            let report = run(&config).expect("load run");
 
-        assert_eq!(report.total_requests, 4 + 24);
-        assert_eq!(report.total_errors, 0, "every request must succeed");
-        assert_eq!(
-            report.churn_conns, 24,
-            "one churn connection per scheduled request"
-        );
-        assert!(report.throughput_rps > 0.0);
-        let mut mixed_requests = 0;
-        for (endpoint, stats) in &report.endpoints {
-            assert_eq!(stats.errors, 0);
-            if *endpoint == Endpoint::Create {
-                assert_eq!(stats.requests, 4);
-            } else {
-                mixed_requests += stats.requests;
+            assert_eq!(report.total_requests, 4 + 24);
+            assert_eq!(
+                report.total_errors, 0,
+                "stripes={stripes}: every request must succeed"
+            );
+            assert_eq!(
+                report.churn_conns, 24,
+                "one churn connection per scheduled request"
+            );
+            assert!(report.throughput_rps > 0.0);
+            let mut mixed_requests = 0;
+            for (endpoint, stats) in &report.endpoints {
+                assert_eq!(stats.errors, 0, "stripes={stripes} {endpoint:?}");
+                if *endpoint == Endpoint::Create {
+                    assert_eq!(stats.requests, 4);
+                } else {
+                    mixed_requests += stats.requests;
+                }
+                if stats.requests > 0 {
+                    assert!(
+                        stats.p50_ns <= stats.p99_ns && stats.p99_ns <= stats.p999_ns,
+                        "stripes={stripes} {endpoint:?}: percentiles must be monotone"
+                    );
+                    assert!(stats.throughput_rps > 0.0);
+                }
             }
-            if stats.requests > 0 {
-                assert!(
-                    stats.p50_ns <= stats.p99_ns && stats.p99_ns <= stats.p999_ns,
-                    "{endpoint:?}: percentiles must be monotone"
-                );
-                assert!(stats.throughput_rps > 0.0);
-            }
-        }
-        assert_eq!(mixed_requests, 24, "every scheduled request was sent");
-    });
+            assert_eq!(mixed_requests, 24, "every scheduled request was sent");
+        });
+    }
 }
 
 #[test]
 fn suggest_mix_serves_without_errors() {
-    with_live_server(|addr| {
-        let mut config = base_config(addr);
-        // Half the mixed phase is guided-exploration traffic: enough
-        // volume that a broken suggest path cannot hide in the mix.
-        config.suggest = 0.5;
-        config.requests = 40;
-        let report = run(&config).expect("load run");
+    for stripes in [1, 4] {
+        with_live_server(stripes, |addr| {
+            let mut config = base_config(addr);
+            // Half the mixed phase is guided-exploration traffic: enough
+            // volume that a broken suggest path cannot hide in the mix.
+            config.suggest = 0.5;
+            config.requests = 40;
+            let report = run(&config).expect("load run");
 
-        assert_eq!(report.total_requests, 4 + 40);
-        assert_eq!(
-            report.total_errors, 0,
-            "every request (suggest included) must succeed"
-        );
-        let suggest = report
-            .endpoints
-            .iter()
-            .find(|(e, _)| *e == Endpoint::Suggest)
-            .map(|(_, s)| s)
-            .expect("suggest stats in the report");
-        assert!(
-            suggest.requests > 0,
-            "a 50% share must schedule suggest traffic"
-        );
-        assert_eq!(suggest.errors, 0);
-        assert!(
-            suggest.p50_ns <= suggest.p99_ns && suggest.p99_ns <= suggest.p999_ns,
-            "suggest percentiles must be monotone"
-        );
-    });
+            assert_eq!(report.total_requests, 4 + 40);
+            assert_eq!(
+                report.total_errors, 0,
+                "stripes={stripes}: every request (suggest included) must succeed"
+            );
+            let suggest = report
+                .endpoints
+                .iter()
+                .find(|(e, _)| *e == Endpoint::Suggest)
+                .map(|(_, s)| s)
+                .expect("suggest stats in the report");
+            assert!(
+                suggest.requests > 0,
+                "a 50% share must schedule suggest traffic"
+            );
+            assert_eq!(suggest.errors, 0, "stripes={stripes}");
+            assert!(
+                suggest.p50_ns <= suggest.p99_ns && suggest.p99_ns <= suggest.p999_ns,
+                "stripes={stripes}: suggest percentiles must be monotone"
+            );
+        });
+    }
 }

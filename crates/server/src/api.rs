@@ -842,6 +842,41 @@ mod tests {
         }
     }
 
+    /// A `twod` statement whose axis has (numerically) zero norm, or one
+    /// along which the selection's spread overflows, answers 400 naming
+    /// the axis and leaves no trace: the knowledge count stays put and the
+    /// next PCA view is byte-equal to a twin session's that never sent it.
+    #[test]
+    fn twod_axes_that_cannot_be_fitted_answer_400() {
+        let m = manager();
+        let call = |method: &str, path: &str, body: &str| handle(&m, &request(method, path, body));
+        for _ in ["s1", "s2"] {
+            let resp = call("POST", "/api/sessions", r#"{"dataset":"fig2"}"#);
+            assert_eq!(resp.status, 201);
+        }
+        for (axes, expected) in [
+            ("[[0,0,0],[0,1,0]]", "axis 0 has zero norm"),
+            ("[[1e-320,0,0],[0,1,0]]", "axis 0 has zero norm"),
+            ("[[0,1,0],[0,0,0]]", "axis 1 has zero norm"),
+            (
+                "[[1e200,0,0],[0,1,0]]",
+                "axis 0: spread along it is not finite; rescale the axes",
+            ),
+        ] {
+            let body = format!(r#"{{"kind":"twod","rows":[1,2,3],"axes":{axes}}}"#);
+            let resp = call("POST", "/api/sessions/s1/knowledge", &body);
+            assert_eq!(resp.status, 400, "{axes}");
+            let err = json(&resp).require_str("error").unwrap().to_string();
+            assert!(err.contains(expected), "{axes}: {err}");
+        }
+        let summary = json(&call("GET", "/api/sessions/s1", ""));
+        assert_eq!(summary.require_num("n_knowledge").unwrap(), 0.0);
+        let after = call("POST", "/api/sessions/s1/view", "{}");
+        let twin = call("POST", "/api/sessions/s2/view", "{}");
+        assert_eq!(after.status, 200);
+        assert_eq!(after.body, twin.body, "a refused twod moved the session");
+    }
+
     #[test]
     fn full_loop_over_dispatch() {
         let m = manager();

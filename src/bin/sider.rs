@@ -66,8 +66,8 @@
 //!     comma-separated `split`, `delay=MS`, `delay_every=N`,
 //!     `drop=BYTES`, `seed=N` terms) so the digests measure the server
 //!     through a link that splits, delays, and severs connections.
-//!     Defaults are the full BENCH_serve workload, or the smoke
-//!     workload when SIDER_BENCH_SMOKE=1.
+//!     Defaults are `LoadConfig::full`: 200 sessions, 2000 requests
+//!     at 400 rps from 32 workers, seed 2018.
 //!
 //! sider store inspect <DIR>
 //!     Print a JSON report over a data dir — flat or striped
@@ -407,7 +407,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
 
 fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
     let addr = cli.get("addr").ok_or(format!("--addr required\n{USAGE}"))?;
-    let mut config = sider::loadgen::LoadConfig::from_env(addr);
+    let mut config = sider::loadgen::LoadConfig::full(addr);
     config.sessions = cli.get_or("sessions", config.sessions)?;
     config.requests = cli.get_or("requests", config.requests)?;
     config.rps = cli.get_or("rps", config.rps)?;
