@@ -1,11 +1,9 @@
 //! FastICA micro-benchmarks: scaling in n and d (paper: ≈ O(n·d²) per
-//! iteration) and the three contrast functions (log-cosh default vs.
-//! exp / kurtosis — an ablation on the paper's §II-C default choice).
+//! iteration) of the one FastICA path, symmetric log-cosh.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sider_data::synthetic::runtime_dataset;
 use sider_projection::{fastica, IcaOpts};
-use sider_stats::gaussianity::Contrast;
 use sider_stats::Rng;
 use std::hint::black_box;
 
@@ -28,37 +26,6 @@ fn bench_ica(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = Rng::seed_from_u64(1);
                 black_box(fastica(&ds.matrix, &IcaOpts::default(), &mut rng))
-            })
-        });
-    }
-    for (name, contrast) in [
-        ("logcosh", Contrast::LogCosh { alpha: 1.0 }),
-        ("exp", Contrast::Exp),
-        ("kurtosis", Contrast::Kurtosis),
-    ] {
-        let ds = runtime_dataset(512, 8, 4, 5);
-        let opts = IcaOpts {
-            contrast,
-            ..IcaOpts::default()
-        };
-        group.bench_with_input(BenchmarkId::new("contrast", name), &name, |b, _| {
-            b.iter(|| {
-                let mut rng = Rng::seed_from_u64(1);
-                black_box(fastica(&ds.matrix, &opts, &mut rng))
-            })
-        });
-    }
-    // Deflation vs symmetric decorrelation.
-    for (name, symmetric) in [("symmetric", true), ("deflation", false)] {
-        let ds = runtime_dataset(512, 8, 4, 5);
-        let opts = IcaOpts {
-            symmetric,
-            ..IcaOpts::default()
-        };
-        group.bench_with_input(BenchmarkId::new("variant", name), &name, |b, _| {
-            b.iter(|| {
-                let mut rng = Rng::seed_from_u64(1);
-                black_box(fastica(&ds.matrix, &opts, &mut rng))
             })
         });
     }

@@ -8,8 +8,8 @@
 //!   by `(σ² − log σ² − 1)/2` (the KL divergence to the unit Gaussian along
 //!   that direction; paper footnote 1). Uses the *uncentered* second
 //!   moment so mean shifts count as deviations too.
-//! * [`ica`] — FastICA (Hyvärinen's fixed-point iteration, log-cosh
-//!   contrast by default, as in the paper) for *non-Gaussian* directions
+//! * [`ica`] — FastICA (Hyvärinen's fixed-point iteration with the
+//!   log-cosh contrast, as in the paper) for *non-Gaussian* directions
 //!   when variance alone is uninformative, scored by the signed negentropy
 //!   proxy `E[G(s)] − E[G(ν)]` reported in the paper's Table I.
 //! * [`axes`] — the axis-label formatter producing strings like

@@ -8,7 +8,8 @@
 //!   directions.
 //! * The **ICA score** of a (unit-variance) projection `s` is the signed
 //!   negentropy proxy `E[G(s)] − E[G(ν)]`, `ν ~ N(0,1)` — the bracketed
-//!   numbers of Table I. With the log-cosh contrast the sign convention is:
+//!   numbers of Table I, with the log-cosh contrast `G(u) = log cosh u`
+//!   (the FastICA non-linearity [`g`] is its derivative). The sign is:
 //!   **positive for sub-Gaussian** directions (multi-modal cluster
 //!   structure — exactly what the paper's views surface; Table I's initial
 //!   scores are positive) and negative for super-Gaussian (heavy-tailed)
@@ -26,91 +27,33 @@ pub fn pca_score(sigma2: f64) -> f64 {
     0.5 * (sigma2 - sigma2.ln() - 1.0)
 }
 
-/// Contrast (non-linearity) used by FastICA and the ICA score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Contrast {
-    /// `G(u) = log cosh(αu) / α` — the paper's default (α = 1).
-    LogCosh { alpha: f64 },
-    /// `G(u) = −exp(−u²/2)` — robust alternative.
-    Exp,
-    /// `G(u) = u⁴/4` — classic kurtosis, fast but outlier-sensitive.
-    Kurtosis,
+// The log-cosh contrast `G(u) = log cosh u` of the paper's FastICA
+// (α = 1, the R `fastICA` default) and its derivatives.
+
+/// First derivative `g(u) = G′(u) = tanh u` (the FastICA non-linearity).
+pub fn g(u: f64) -> f64 {
+    u.tanh()
 }
 
-impl Default for Contrast {
-    fn default() -> Self {
-        Contrast::LogCosh { alpha: 1.0 }
-    }
+/// Second derivative `g′(u) = 1 − tanh² u`.
+pub fn g_prime(u: f64) -> f64 {
+    let t = u.tanh();
+    1.0 - t * t
 }
 
-impl Contrast {
-    /// The contrast function `G(u)` itself.
-    pub fn big_g(&self, u: f64) -> f64 {
-        match *self {
-            Contrast::LogCosh { alpha } => ln_cosh(alpha * u) / alpha,
-            Contrast::Exp => -(-0.5 * u * u).exp(),
-            Contrast::Kurtosis => 0.25 * u * u * u * u,
-        }
-    }
+/// `(g(u), g′(u))` from one `tanh`. Bit-equal to calling [`g`] and
+/// [`g_prime`] separately: each half is the same expression over the same
+/// intermediate.
+#[inline]
+pub fn g_and_g_prime(u: f64) -> (f64, f64) {
+    let t = u.tanh();
+    (t, 1.0 - t * t)
+}
 
-    /// First derivative `g(u) = G′(u)` (the FastICA non-linearity).
-    pub fn g(&self, u: f64) -> f64 {
-        match *self {
-            Contrast::LogCosh { alpha } => (alpha * u).tanh(),
-            Contrast::Exp => u * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => u * u * u,
-        }
-    }
-
-    /// Second derivative `g′(u)`.
-    pub fn g_prime(&self, u: f64) -> f64 {
-        match *self {
-            Contrast::LogCosh { alpha } => {
-                let t = (alpha * u).tanh();
-                alpha * (1.0 - t * t)
-            }
-            Contrast::Exp => (1.0 - u * u) * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => 3.0 * u * u,
-        }
-    }
-
-    /// `(g(u), g′(u))` from one evaluation of the shared transcendental
-    /// (`tanh` for log-cosh, `exp` for `Exp`). Bit-equal to calling
-    /// [`Contrast::g`] and [`Contrast::g_prime`] separately: each half is
-    /// the same expression over the same intermediate.
-    #[inline]
-    pub fn g_and_g_prime(&self, u: f64) -> (f64, f64) {
-        match *self {
-            Contrast::LogCosh { alpha } => {
-                let t = (alpha * u).tanh();
-                (t, alpha * (1.0 - t * t))
-            }
-            Contrast::Exp => {
-                let e = (-0.5 * u * u).exp();
-                (u * e, (1.0 - u * u) * e)
-            }
-            Contrast::Kurtosis => (u * u * u, 3.0 * u * u),
-        }
-    }
-
-    /// `E[G(ν)]` for `ν ~ N(0, 1)`.
-    ///
-    /// Exact closed forms exist for `Exp` (−1/√2) and `Kurtosis` (3/4);
-    /// for log-cosh we integrate numerically (cached for the default α=1).
-    pub fn gaussian_expectation(&self) -> f64 {
-        match *self {
-            Contrast::Exp => -std::f64::consts::FRAC_1_SQRT_2,
-            Contrast::Kurtosis => 0.75,
-            Contrast::LogCosh { alpha } => {
-                if (alpha - 1.0).abs() < 1e-12 {
-                    static CACHE: OnceLock<f64> = OnceLock::new();
-                    *CACHE.get_or_init(|| gaussian_expectation_of(ln_cosh))
-                } else {
-                    gaussian_expectation_of(|u| ln_cosh(alpha * u) / alpha)
-                }
-            }
-        }
-    }
+/// `E[log cosh ν]` for `ν ~ N(0, 1)`, integrated numerically once.
+fn gaussian_ln_cosh() -> f64 {
+    static CACHE: OnceLock<f64> = OnceLock::new();
+    *CACHE.get_or_init(|| gaussian_expectation_of(ln_cosh))
 }
 
 /// Numerically stable `log cosh(x)` (avoids overflow of `cosh` for |x| ≳ 710).
@@ -138,16 +81,16 @@ pub fn gaussian_expectation_of(f: impl Fn(f64) -> f64) -> f64 {
     acc * h / 3.0
 }
 
-/// Signed ICA score of a sample: `mean(G(s)) − E[G(ν)]`.
+/// Signed ICA score of a sample: `mean(log cosh s) − E[log cosh ν]`.
 ///
 /// The caller is responsible for standardizing `s` to zero mean and unit
 /// variance (FastICA components already are).
-pub fn negentropy_offset(s: &[f64], contrast: Contrast) -> f64 {
+pub fn negentropy_offset(s: &[f64]) -> f64 {
     if s.is_empty() {
         return 0.0;
     }
-    let mean_g = s.iter().map(|&u| contrast.big_g(u)).sum::<f64>() / s.len() as f64;
-    mean_g - contrast.gaussian_expectation()
+    let mean_g = s.iter().map(|&u| ln_cosh(u)).sum::<f64>() / s.len() as f64;
+    mean_g - gaussian_ln_cosh()
 }
 
 /// Standardize a sample to zero mean / unit (population) variance in place.
@@ -207,37 +150,29 @@ mod tests {
     #[test]
     fn logcosh_gaussian_expectation_known_value() {
         // Literature value E[log cosh ν] ≈ 0.3746 (FastICA negentropy tables).
-        let e = Contrast::default().gaussian_expectation();
+        let e = gaussian_ln_cosh();
         assert!((e - 0.37457).abs() < 1e-4, "got {e}");
     }
 
     #[test]
     fn exact_expectations() {
-        assert!(
-            (Contrast::Exp.gaussian_expectation() + std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12
-        );
-        assert_eq!(Contrast::Kurtosis.gaussian_expectation(), 0.75);
-        // Cross-check the closed forms against the integrator.
+        // The integrator against closed forms: E[−exp(−ν²/2)] = −1/√2 and
+        // E[ν⁴/4] = 3/4.
         let e_exp = gaussian_expectation_of(|u| -(-0.5 * u * u).exp());
-        assert!((e_exp - Contrast::Exp.gaussian_expectation()).abs() < 1e-10);
+        assert!((e_exp + std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
         let e_kur = gaussian_expectation_of(|u| 0.25 * u.powi(4));
         assert!((e_kur - 0.75).abs() < 1e-8);
     }
 
     #[test]
     fn derivatives_are_consistent() {
-        // Finite differences of G match g; of g match g'.
+        // Finite differences of G = log cosh match g; of g match g'.
         let h = 1e-6;
-        for contrast in [Contrast::default(), Contrast::Exp, Contrast::Kurtosis] {
-            for &u in &[-2.0, -0.3, 0.7, 1.9] {
-                let dg = (contrast.big_g(u + h) - contrast.big_g(u - h)) / (2.0 * h);
-                assert!((dg - contrast.g(u)).abs() < 1e-6, "{contrast:?} u={u}");
-                let dgp = (contrast.g(u + h) - contrast.g(u - h)) / (2.0 * h);
-                assert!(
-                    (dgp - contrast.g_prime(u)).abs() < 1e-5,
-                    "{contrast:?} u={u}"
-                );
-            }
+        for &u in &[-2.0, -0.3, 0.7, 1.9] {
+            let dg = (ln_cosh(u + h) - ln_cosh(u - h)) / (2.0 * h);
+            assert!((dg - g(u)).abs() < 1e-6, "u={u}");
+            let dgp = (g(u + h) - g(u - h)) / (2.0 * h);
+            assert!((dgp - g_prime(u)).abs() < 1e-5, "u={u}");
         }
     }
 
@@ -264,22 +199,10 @@ mod tests {
         ];
         let mut rng = Rng::seed_from_u64(5);
         inputs.extend((0..1000).map(|_| 4.0 * rng.standard_normal()));
-        let contrasts = [
-            Contrast::default(),
-            Contrast::LogCosh { alpha: 1.7 },
-            Contrast::Exp,
-            Contrast::Kurtosis,
-        ];
-        for contrast in contrasts {
-            for &u in &inputs {
-                let (g, gp) = contrast.g_and_g_prime(u);
-                assert_eq!(g.to_bits(), contrast.g(u).to_bits(), "{contrast:?} g({u})");
-                assert_eq!(
-                    gp.to_bits(),
-                    contrast.g_prime(u).to_bits(),
-                    "{contrast:?} g'({u})"
-                );
-            }
+        for &u in &inputs {
+            let (gu, gpu) = g_and_g_prime(u);
+            assert_eq!(gu.to_bits(), g(u).to_bits(), "g({u})");
+            assert_eq!(gpu.to_bits(), g_prime(u).to_bits(), "g'({u})");
         }
     }
 
@@ -288,7 +211,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(123);
         let mut s = rng.standard_normal_vec(200_000);
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score.abs() < 0.003, "score {score}");
     }
 
@@ -304,12 +227,8 @@ mod tests {
             })
             .collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score < -0.02, "score {score}");
-        // Kurtosis contrast has the opposite, classic sign: positive for
-        // super-Gaussian.
-        let k = negentropy_offset(&s, Contrast::Kurtosis);
-        assert!(k > 0.1, "kurtosis score {k}");
     }
 
     #[test]
@@ -319,10 +238,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(8);
         let mut s: Vec<f64> = (0..100_000).map(|_| rng.uniform() - 0.5).collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score > 0.02, "score {score}");
-        let k = negentropy_offset(&s, Contrast::Kurtosis);
-        assert!(k < -0.1, "kurtosis score {k}");
     }
 
     #[test]
@@ -337,7 +254,7 @@ mod tests {
             })
             .collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score > 0.03, "score {score}");
     }
 
@@ -360,6 +277,6 @@ mod tests {
 
     #[test]
     fn negentropy_empty_sample_is_zero() {
-        assert_eq!(negentropy_offset(&[], Contrast::default()), 0.0);
+        assert_eq!(negentropy_offset(&[]), 0.0);
     }
 }

@@ -85,7 +85,7 @@ use sider::core::{explore, EdaSession, ExplorationConfig, SimulatedUser};
 use sider::data::Dataset;
 use sider::maxent::FitOpts;
 use sider::projection::{IcaOpts, Method};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -450,7 +450,15 @@ fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("sider loadgen: report written to {path}");
         }
-        None => println!("{json}"),
+        None => {
+            // A reader that stops early (`sider loadgen … | head`) closes
+            // the pipe: that ends the output quietly, it is not an error.
+            let mut out = std::io::stdout().lock();
+            match writeln!(out, "{json}").and_then(|()| out.flush()) {
+                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+                written => written.map_err(|e| format!("cannot write the report: {e}"))?,
+            }
+        }
     }
     if report.total_errors > 0 {
         return Err(format!(
